@@ -12,9 +12,12 @@ content-addressed cache turns every repeat into a dictionary lookup.
 * ``(model fingerprint, formula, engine)`` for concrete checking
   results (:func:`repro.checking.matrix.model_fingerprint` — SHA-256 of
   state order, transition bytes, rewards and labelling), and
-* ``("parametric", parametric fingerprint, formula, method)`` for the
+* ``("parametric", parametric fingerprint, query, method)`` for the
   closed-form :class:`~repro.checking.parametric.ParametricConstraint`
-  produced by state elimination / fraction-free Gauss, and
+  produced by state elimination / fraction-free Gauss — ``query`` is the
+  path formula (plus the reward label) without comparison and bound, so
+  re-checking one model under a tightened bound reuses the elimination
+  — and
 * ``("corridor", parametric fingerprint, formula, order, sorted
   corridor)`` for corridor-restricted constraints, with the companion
   ``("corridor-snapshot", …)`` key holding the resumable
@@ -44,7 +47,7 @@ from repro.checking.parametric import (
     corridor_elimination,
     parametric_constraint,
 )
-from repro.logic.pctl import StateFormula
+from repro.logic.pctl import ProbabilisticOperator, RewardOperator, StateFormula
 
 Key = Tuple[Hashable, ...]
 
@@ -187,8 +190,15 @@ class CheckCache:
     def parametric_key(
         self, model: ParametricDTMC, formula: StateFormula, method: str
     ) -> Key:
-        """Key for a parametric state-elimination closed form."""
-        return ("parametric", parametric_fingerprint(model), formula, method)
+        """Key for a parametric closed form: the path formula (with the
+        reward label), not the comparison or bound it is checked against."""
+        if isinstance(formula, RewardOperator):
+            query = ("R", formula.label, formula.path)
+        elif isinstance(formula, ProbabilisticOperator):
+            query = ("P", formula.path)
+        else:
+            query = (formula,)
+        return ("parametric", parametric_fingerprint(model), query, method)
 
     def _record_elimination(self, stats: Dict[str, int], seconds: float) -> None:
         self.parametric_eliminations += 1
@@ -215,7 +225,10 @@ class CheckCache:
         ``order`` picks the elimination order for ``method="eliminate"``
         (``"gauss"`` ignores it).  It is deliberately absent from the
         key: every order produces the same closed form, so whichever
-        runs first is the one shared.
+        runs first is the one shared.  The bound is absent too: the
+        closed form is shared across bounds and returned rebound to this
+        ``formula``'s comparison and bound
+        (:meth:`~repro.checking.parametric.ParametricConstraint.rebound`).
         """
         key = self.parametric_key(model, formula, method)
 
@@ -234,7 +247,8 @@ class CheckCache:
             constraint.stacked()
             return constraint
 
-        return self.get_or_compute(key, eliminate)
+        shared = self.get_or_compute(key, eliminate)
+        return shared.rebound(formula.comparison, formula.bound)
 
     def corridor_key(
         self,

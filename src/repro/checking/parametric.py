@@ -721,6 +721,19 @@ class ParametricConstraint:
             self._stacked = cached
         return cached
 
+    def rebound(self, comparison: str, bound: float) -> "ParametricConstraint":
+        """The same closed form checked against another comparison/bound.
+
+        Shares ``function`` and the :meth:`compiled` kernel; the
+        :meth:`stacked` kernel bakes the bound in, so the copy rebuilds
+        it on first use.  ``self`` when nothing changes.
+        """
+        if comparison == self.comparison and float(bound) == self.bound:
+            return self
+        other = ParametricConstraint(self.function, comparison, bound)
+        other._compiled = self.compiled()
+        return other
+
     def holds_at(self, assignment: Mapping[str, float]) -> bool:
         """Whether the constraint is satisfied at a parameter point."""
         return check_comparison(

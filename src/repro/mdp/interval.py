@@ -11,17 +11,32 @@ model keeps satisfying the property under any further ε'-perturbation.
 
 Semantics: at every step, nature picks any distribution inside the
 row's intervals (the standard non-convex-adversary-free "interval MDP"
-setting).  Robust value iteration computes min/max reachability by
-solving, per state, the inner linear program over the interval simplex
-— which has the classic greedy closed form (sort successors by value,
-saturate bounds).
+setting).  Nature's inner problem over one row is a linear program over
+the interval simplex whose optimum is a vertex with a greedy closed form
+(start every successor at its lower bound, then pour the free mass into
+the best successors first).  All rows are lowered once into CSR arrays
+(:class:`_IntervalRows`), so one greedy pick over the whole chain is a
+``lexsort`` by (row, ±value) plus a segmented cumulative sum.
+
+Robust values come from *nature-strategy iteration* (Suilen et al.,
+"Robust MDPs: A Place Where AI and Formal Methods Meet"): pick nature's
+greedy distribution under the current values, evaluate that member
+chain exactly with a sparse linear solve, and re-pick until one more
+Bellman sweep moves no value by more than the tolerance — a few rounds
+where value iteration took thousands of sweeps.  Qualitative sets are
+fixed first and rows switch only on strict improvement, so every
+evaluated system is nonsingular and the final strategy, which is also
+the extremal witness chain, attains the Bellman fixpoint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
+from scipy.sparse.linalg import spsolve
 
 from repro.mdp.model import DTMC, ModelValidationError
 
@@ -29,18 +44,24 @@ State = Hashable
 
 _VI_TOLERANCE = 1e-10
 _VI_MAX_ITERATIONS = 100_000
-#: Any finite value crossing this threshold marks the iteration as
+#: Any finite value crossing this threshold marks the solve as
 #: divergent — expected rewards of real repair models live far below it.
 _VI_DIVERGENCE_LIMIT = 1e15
+#: A row switches strategy only when its Bellman gain beats this
+#: fraction of the value scale, so float noise cannot cycle strategies.
+_SWITCH_GAIN = 1e-12
 
 
 class VIReport:
-    """Accounting for one robust value-iteration run.
+    """Accounting for one robust solve.
 
-    ``converged`` is True iff the sweep residual dropped below the
-    tolerance before the iteration cap; ``diverged`` flags a run whose
-    finite values blew past :data:`_VI_DIVERGENCE_LIMIT` (or went
-    non-finite), which a capped-but-convergent run never does.
+    ``iterations`` counts Bellman sweeps: every nature-strategy pick
+    plus the validating sweep.  ``converged`` is True iff the validating
+    sweep moved no value by more than the tolerance (or found no
+    strictly improving row) before the sweep cap; ``residual`` is the
+    largest value change of the last sweep.  ``diverged`` flags a
+    singular or non-finite solve, or values past
+    :data:`_VI_DIVERGENCE_LIMIT`, which a capped run never reports.
     """
 
     def __init__(
@@ -91,6 +112,72 @@ def _epsilon_ball_row(
     return ball
 
 
+class _IntervalRows:
+    """Interval rows lowered to CSR arrays, plus nature's greedy fill.
+
+    Row ``i`` owns entries ``indptr[i]:indptr[i + 1]`` of ``cols``,
+    ``lower``, ``upper`` and ``slack``; ``free`` is the mass a row has
+    left once every successor sits at its lower bound.  Every row has at
+    least one entry (validation rejects empty rows).
+    """
+
+    def __init__(self, rows: List[Mapping[State, Tuple]], index: Mapping[State, int]):
+        lengths = [len(row) for row in rows]
+        self.num_states = len(index)
+        self.indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        self.row_of = np.repeat(np.arange(len(rows)), lengths)
+        self.cols = np.array([index[t] for row in rows for t in row], dtype=np.int64)
+        bounds = np.array(
+            [b for row in rows for b in row.values()], dtype=np.float64
+        ).reshape(-1, 2)
+        self.lower, self.upper = bounds[:, 0], bounds[:, 1]
+        self.slack = self.upper - self.lower
+        self.free = 1.0 - self.row_sum(self.lower)
+
+    def row_sum(self, entries: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(entries, self.indptr[:-1])
+
+    def row_any(self, entries: np.ndarray) -> np.ndarray:
+        return np.logical_or.reduceat(entries, self.indptr[:-1])
+
+    def pick(
+        self, key: np.ndarray, maximise: bool, slack: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Nature's greedy distribution in every row at once.
+
+        Successors are filled from their lower bounds in order of
+        ``key`` (descending when ``maximise``; ties keep row order), each
+        taking its slack until the row's free mass is spent.  ``slack``
+        overrides the per-entry slack (zero blocks an entry).
+        """
+        key = key[self.cols]
+        order = np.lexsort((-key if maximise else key, self.row_of))
+        slack = (self.slack if slack is None else slack)[order]
+        before = np.cumsum(slack) - slack
+        before -= before[self.indptr[:-1]][self.row_of]
+        probs = self.lower.copy()
+        probs[order] += np.clip(self.free[self.row_of] - before, 0.0, slack)
+        return probs
+
+    def matrix(self, probs: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix(
+            (probs, self.cols, self.indptr),
+            shape=(len(self.indptr) - 1, self.num_states),
+        )
+
+    def distances(self, edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Hops from each state to ``seeds`` along the ``edges`` entries
+        (``inf`` where no path exists)."""
+        n = self.num_states
+        sources = np.concatenate((self.cols[edges], np.full(seeds.sum(), n)))
+        sinks = np.concatenate((self.row_of[edges], np.flatnonzero(seeds)))
+        graph = sparse.csr_matrix(
+            (np.ones(len(sources)), (sources, sinks)), shape=(n + 1, n + 1)
+        )
+        hops = csgraph.shortest_path(graph, unweighted=True, indices=n)
+        return hops[:n] - 1.0
+
+
 class IntervalDTMC:
     """A chain whose transition probabilities are intervals.
 
@@ -128,7 +215,8 @@ class IntervalDTMC:
         state_rewards: Optional[Mapping[State, float]] = None,
     ):
         self.states = list(states)
-        if initial_state not in set(self.states):
+        known = set(self.states)
+        if initial_state not in known:
             raise ModelValidationError(f"unknown initial state {initial_state!r}")
         self.initial_state = initial_state
         self.intervals: Dict[State, Dict[State, Tuple[float, float]]] = {}
@@ -140,7 +228,7 @@ class IntervalDTMC:
             upper_sum = 0.0
             cleaned: Dict[State, Tuple[float, float]] = {}
             for target, (lower, upper) in row.items():
-                if target not in set(self.states):
+                if target not in known:
                     raise ModelValidationError(f"unknown target {target!r}")
                 if not 0.0 <= lower <= upper <= 1.0 + 1e-12:
                     raise ModelValidationError(
@@ -162,6 +250,10 @@ class IntervalDTMC:
         self.state_rewards = {
             s: float((state_rewards or {}).get(s, 0.0)) for s in self.states
         }
+        self._kernel: Optional[_IntervalRows] = None
+        #: ``(values, maximise, probs, solved)`` of the last solve: its
+        #: final strategy is the witness :meth:`extremal_chain` returns.
+        self._witness = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -205,77 +297,189 @@ class IntervalDTMC:
         return frozenset(s for s, props in self.labels.items() if atom in props)
 
     # ------------------------------------------------------------------
-    # Robust value iteration
+    # Lowered rows and qualitative analysis
     # ------------------------------------------------------------------
-    @staticmethod
-    def _inner_optimum(
-        row: Dict[State, Tuple[float, float]],
-        values: Mapping[State, float],
-        maximise: bool,
-    ) -> float:
-        """Nature's best/worst expectation over the interval simplex.
+    def _rows(self) -> _IntervalRows:
+        if self._kernel is None:
+            index = {s: i for i, s in enumerate(self.states)}
+            self._kernel = _IntervalRows(
+                [self.intervals[s] for s in self.states], index
+            )
+        return self._kernel
 
-        Greedy closed form: start every target at its lower bound, then
-        distribute the remaining mass toward high-value (maximise) or
-        low-value (minimise) targets, saturating upper bounds in order.
+    def _adversarial_trap_states(self, targets: np.ndarray, closure: bool = True):
+        """States from which some member chain avoids ``targets`` forever.
+
+        A target-avoiding *trap* is a set ``C`` of non-target states in
+        which every member state (a) has all its mandatory mass
+        (lower bounds) inside ``C`` and (b) can feasibly place its whole
+        unit of mass inside ``C`` (``Σ_{t∈C} upper ≥ 1``).  The greatest
+        such ``C`` comes from the obvious shrinking fixpoint — these are
+        exactly the states whose minimal reachability is 0.  With
+        ``closure`` a state joins when it can be steered into the trap
+        along any possible (upper-bound-positive) path.  Masks in, mask
+        out.
         """
-        targets = list(row)
-        base = sum(row[t][0] for t in targets)
-        remaining = 1.0 - base
-        expectation = sum(row[t][0] * values[t] for t in targets)
-        order = sorted(targets, key=lambda t: values[t], reverse=maximise)
-        for target in order:
-            if remaining <= 0:
+        rows = self._rows()
+        trap = ~targets
+        while True:
+            inside = trap[rows.cols]
+            mandatory_inside = ~rows.row_any((rows.lower > 0) & ~inside)
+            feasible = rows.row_sum(np.where(inside, rows.upper, 0.0)) >= 1.0 - 1e-12
+            shrunk = trap & mandatory_inside & feasible
+            if (shrunk == trap).all():
                 break
-            slack = row[target][1] - row[target][0]
-            take = min(slack, remaining)
-            expectation += take * values[target]
-            remaining -= take
-        return expectation
+            trap = shrunk
+        if not closure:
+            return trap
+        edges = (rows.upper > 0) & ~targets[rows.row_of]
+        return np.isfinite(rows.distances(edges, trap))
 
-    @staticmethod
-    def _inner_distribution(
-        row: Dict[State, Tuple[float, float]],
-        values: Mapping[State, float],
-        maximise: bool,
-    ) -> Dict[State, float]:
-        """The distribution nature's greedy inner optimum actually picks.
+    def _nature_prob1_states(self, targets: np.ndarray) -> np.ndarray:
+        """States from which *some* member chain reaches surely.
 
-        Same saturation order as :meth:`_inner_optimum`, but returning
-        the chosen probabilities instead of the expectation — the
-        building block for extracting an extremal member chain.
+        Greatest fixpoint: keep a state while it can feasibly put all
+        its mass inside the kept set (no mandatory leakage) *and* still
+        has a possibly-positive path to the targets inside the set.
         """
-        targets = list(row)
-        distribution = {t: row[t][0] for t in targets}
-        remaining = 1.0 - sum(distribution.values())
-        order = sorted(targets, key=lambda t: values[t], reverse=maximise)
-        for target in order:
-            if remaining <= 0:
+        rows = self._rows()
+        kept = np.ones(len(self.states), dtype=bool)
+        while True:
+            inside = kept[rows.cols]
+            reach = np.isfinite(
+                rows.distances((rows.upper > 0) & kept[rows.row_of], targets)
+            )
+            no_leak = ~rows.row_any((rows.lower > 0) & ~inside)
+            feasible = rows.row_sum(np.where(inside, rows.upper, 0.0)) >= 1.0 - 1e-12
+            updated = targets | (kept & no_leak & feasible & reach)
+            if (updated == kept).all():
+                return kept
+            kept = updated
+
+    # ------------------------------------------------------------------
+    # Nature-strategy iteration
+    # ------------------------------------------------------------------
+    def _solve(
+        self, targets, maximise: bool, reward: bool, max_iterations, tolerance
+    ) -> Tuple[Dict[State, float], VIReport]:
+        """Robust reachability (``reward=False``) or expected reward.
+
+        Fixed before any solve: the targets; for min-reachability the
+        nature trap (value 0); for rewards the states where reward can
+        diverge (``inf``) — for the worst case wherever *some* member
+        chain misses the targets with positive probability, for the best
+        case wherever *every* member chain does.  Max-reachability zeroes
+        the states a picked chain cannot lead to the targets.  Min-reward
+        starts from a strategy that reaches the targets surely and stays
+        proper, as rows switch only on strict improvement: PRISM's Rmin,
+        the least expected reward over strategies that reach the targets.
+        """
+        rows = self._rows()
+        cap = _VI_MAX_ITERATIONS if max_iterations is None else max_iterations
+        tol = _VI_TOLERANCE if tolerance is None else tolerance
+        targets = set(targets)
+        target = np.fromiter((s in targets for s in self.states), dtype=bool)
+        if reward:
+            rewards = np.array([self.state_rewards[s] for s in self.states])
+            if maximise:
+                infinite = self._adversarial_trap_states(target)
+            else:
+                infinite = ~self._nature_prob1_states(target)
+            values = np.where(infinite, np.inf, 0.0)
+            solved = ~(target | infinite)
+        else:
+            rewards = np.zeros(len(self.states))
+            values = target.astype(np.float64)
+            solved = ~target
+            if not maximise:
+                solved &= ~self._adversarial_trap_states(target, closure=False)
+        # Entries into infinite states carry no mass in finite rows (the
+        # qualitative sets guarantee a zero lower bound there).
+        slack = np.where(np.isinf(values)[rows.cols], 0.0, rows.slack)
+        work = np.where(np.isinf(values), 0.0, values)
+
+        def evaluate(probs: np.ndarray) -> Optional[np.ndarray]:
+            matrix = rows.matrix(probs)
+            live = solved
+            if not reward:
+                edges = (probs > 0) & solved[rows.row_of]
+                live = solved & np.isfinite(rows.distances(edges, target))
+            result = np.where(solved, 0.0, work)
+            live = np.flatnonzero(live)
+            if len(live):
+                block = matrix[live]
+                system = sparse.identity(len(live)) - block[:, live]
+                rhs = rewards[live] + block @ result
+                result[live] = np.atleast_1d(spsolve(system.tocsc(), rhs))
+            bounded = np.abs(result).max() <= _VI_DIVERGENCE_LIMIT  # False on nan
+            return result if bounded else None
+
+        iterations, residual = 0, np.inf
+        converged = diverged = False
+        probs = None
+        if cap >= 1:
+            iterations = 1
+            if reward and not maximise:
+                # Start from a strategy that reaches the targets surely:
+                # every row leans toward a successor one hop closer.
+                edges = (slack + rows.lower > 0) & solved[rows.row_of]
+                hops = rows.distances(edges, target)
+                probs = rows.pick(hops, False, slack)
+            else:
+                probs = rows.pick(work, maximise, slack)
+        while probs is not None:
+            evaluated = evaluate(probs)
+            if evaluated is None:
+                diverged = True
                 break
-            take = min(row[target][1] - row[target][0], remaining)
-            distribution[target] += take
-            remaining -= take
-        return distribution
+            previous, work = work, evaluated
+            if iterations >= cap:
+                residual = float(np.abs(work - previous)[solved].max(initial=0.0))
+                break
+            iterations += 1
+            candidate = rows.pick(work, maximise, slack)
+            best = rewards + rows.matrix(candidate) @ work
+            current = rewards + rows.matrix(probs) @ work
+            residual = float(np.abs(best - work)[solved].max(initial=0.0))
+            gain = best - current if maximise else current - best
+            scale = 1.0 + np.abs(work[solved]).max(initial=0.0)
+            switch = solved & (gain > _SWITCH_GAIN * scale)
+            if residual <= tol or not switch.any():
+                converged = True
+                break
+            probs = np.where(switch[rows.row_of], candidate, probs)
+        final = np.where(np.isinf(values), values, work)
+        if not reward:
+            final = np.clip(final, 0.0, 1.0)
+        result = dict(zip(self.states, final.tolist()))
+        self._witness = (
+            None if probs is None else (dict(result), maximise, probs, solved)
+        )
+        return result, VIReport(iterations, converged, residual, diverged)
 
     def extremal_chain(
         self, values: Mapping[State, float], maximise: bool
     ) -> DTMC:
-        """Nature's extremal member chain for a converged value vector.
+        """Nature's extremal member chain for a solved value vector.
 
-        Freezes, per state, the greedy inner-optimum distribution — a
-        concrete DTMC inside the intervals witnessing the robust value.
-        Row feasibility (``Σ lower ≤ 1 ≤ Σ upper``) guarantees the
-        greedy rows sum to one (normalised here against float drift).
+        For the values the last solve returned, the witness is that
+        solve's final nature strategy, which attains them exactly; any
+        other row (and any other value vector) freezes nature's greedy
+        distribution under ``values``.  Row feasibility
+        (``Σ lower ≤ 1 ≤ Σ upper``) guarantees the rows sum to one
+        (normalised here against float drift).
         """
-        transitions: Dict[State, Dict[State, float]] = {}
-        for state in self.states:
-            row = self._inner_distribution(
-                self.intervals[state], values, maximise
-            )
-            total = sum(row.values())
-            transitions[state] = {
-                t: p / total for t, p in row.items() if p > 0.0
-            }
+        rows = self._rows()
+        key = np.array([values[s] for s in self.states], dtype=np.float64)
+        probs = rows.pick(key, maximise)
+        memo = self._witness
+        if memo is not None and memo[1] == maximise and memo[0] == dict(values):
+            probs = np.where(memo[3][rows.row_of], memo[2], probs)
+        probs = probs / rows.row_sum(probs)[rows.row_of]
+        transitions: Dict[State, Dict[State, float]] = {s: {} for s in self.states}
+        for row, col, p in zip(rows.row_of, rows.cols, probs.tolist()):
+            if p > 0.0:
+                transitions[self.states[row]][self.states[col]] = p
         return DTMC(
             states=self.states,
             transitions=transitions,
@@ -292,29 +496,7 @@ class IntervalDTMC:
         tolerance: Optional[float] = None,
     ) -> Tuple[Dict[State, float], VIReport]:
         """Robust reachability values plus convergence accounting."""
-        targets = set(targets)
-        cap = _VI_MAX_ITERATIONS if max_iterations is None else max_iterations
-        tol = _VI_TOLERANCE if tolerance is None else tolerance
-        values = {s: (1.0 if s in targets else 0.0) for s in self.states}
-        iterations = 0
-        delta = np.inf
-        converged = False
-        while iterations < cap:
-            iterations += 1
-            delta = 0.0
-            for state in self.states:
-                if state in targets:
-                    continue
-                updated = self._inner_optimum(
-                    self.intervals[state], values, maximise
-                )
-                delta = max(delta, abs(updated - values[state]))
-                values[state] = updated
-            if delta < tol:
-                converged = True
-                break
-        clipped = {s: float(np.clip(v, 0.0, 1.0)) for s, v in values.items()}
-        return clipped, VIReport(iterations, converged, float(delta))
+        return self._solve(targets, maximise, False, max_iterations, tolerance)
 
     def reachability_values(
         self, targets: Set[State], maximise: bool
@@ -329,102 +511,6 @@ class IntervalDTMC:
         """Robust reachability probability at the initial state."""
         return self.reachability_values(targets, maximise)[self.initial_state]
 
-    # ------------------------------------------------------------------
-    # Qualitative analysis
-    # ------------------------------------------------------------------
-    def _adversarial_trap_states(self, targets: Set[State]) -> Set[State]:
-        """States from which some member chain avoids ``targets`` forever.
-
-        A target-avoiding *trap* is a set ``C`` of non-target states in
-        which every member state (a) has all its mandatory mass
-        (lower bounds) inside ``C`` and (b) can feasibly place its whole
-        unit of mass inside ``C`` (``Σ_{t∈C} upper ≥ 1``).  The greatest
-        such ``C`` comes from the obvious shrinking fixpoint; a state can
-        then be steered into the trap along any possible
-        (upper-bound-positive) path.
-        """
-        candidates = set(self.states) - targets
-        changed = True
-        while changed:
-            changed = False
-            for state in list(candidates):
-                row = self.intervals[state]
-                mandatory_inside = all(
-                    target in candidates
-                    for target, (lower, _upper) in row.items()
-                    if lower > 0
-                )
-                feasible_mass = sum(
-                    upper
-                    for target, (_lower, upper) in row.items()
-                    if target in candidates
-                ) >= 1.0 - 1e-12
-                if not (mandatory_inside and feasible_mass):
-                    candidates.discard(state)
-                    changed = True
-        trap = set(candidates)
-        # Backward closure: the adversary routes into the trap along any
-        # possibly-positive edge.
-        reachable = set(trap)
-        changed = True
-        while changed:
-            changed = False
-            for state in self.states:
-                if state in reachable or state in targets:
-                    continue
-                row = self.intervals[state]
-                if any(
-                    target in reachable and upper > 0
-                    for target, (_lower, upper) in row.items()
-                ):
-                    reachable.add(state)
-                    changed = True
-        return reachable
-
-    def _nature_prob1_states(self, targets: Set[State]) -> Set[State]:
-        """States from which *some* member chain reaches surely.
-
-        Greatest fixpoint: keep a state while it can feasibly put all
-        its mass inside the kept set (no mandatory leakage) *and* still
-        has a possibly-positive path to the targets inside the set.
-        """
-        kept = set(self.states)
-        while True:
-            # Within `kept`, which states can possibly reach the targets?
-            reach = set(targets)
-            changed = True
-            while changed:
-                changed = False
-                for state in kept:
-                    if state in reach:
-                        continue
-                    row = self.intervals[state]
-                    if any(
-                        target in reach and upper > 0 and target in kept | targets
-                        for target, (_lower, upper) in row.items()
-                    ):
-                        reach.add(state)
-                        changed = True
-            updated = set(targets)
-            for state in kept:
-                if state in targets:
-                    continue
-                row = self.intervals[state]
-                no_leak = all(
-                    target in kept or lower == 0
-                    for target, (lower, _upper) in row.items()
-                )
-                feasible_mass = sum(
-                    upper
-                    for target, (_lower, upper) in row.items()
-                    if target in kept
-                ) >= 1.0 - 1e-12
-                if no_leak and feasible_mass and state in reach:
-                    updated.add(state)
-            if updated == kept | targets or updated == kept:
-                return updated
-            kept = updated
-
     def expected_reward_values_report(
         self,
         targets: Set[State],
@@ -432,79 +518,10 @@ class IntervalDTMC:
         max_iterations: Optional[int] = None,
         tolerance: Optional[float] = None,
     ) -> Tuple[Dict[State, float], VIReport]:
-        """Robust expected rewards plus convergence accounting.
-
-        ``inf`` where reward can diverge: for the worst case
-        (``maximise=True``) wherever *some* member chain misses the
-        targets with positive probability; for the best case wherever
-        *every* member chain does.  Finiteness is decided by qualitative
-        graph analysis (no numeric thresholds); the numeric sweep still
-        carries a belt-and-braces divergence detector for callers that
-        cap the iterations.
-        """
-        targets = set(targets)
-        cap = _VI_MAX_ITERATIONS if max_iterations is None else max_iterations
-        tol = _VI_TOLERANCE if tolerance is None else tolerance
-        if maximise:
-            infinite = self._adversarial_trap_states(targets)
-        else:
-            infinite = set(self.states) - self._nature_prob1_states(targets)
-        values: Dict[State, float] = {}
-        for state in self.states:
-            if state in targets:
-                values[state] = 0.0
-            elif state in infinite:
-                values[state] = np.inf
-            else:
-                values[state] = 0.0
-        finite = [
-            s for s in self.states if s not in targets and values[s] == 0.0
-        ]
-        iterations = 0
-        delta = np.inf
-        converged = False
-        diverged = False
-        while iterations < cap and not diverged:
-            iterations += 1
-            delta = 0.0
-            for state in finite:
-                row = self.intervals[state]
-                if any(values[t] == np.inf for t in row):
-                    # Adversary can route into an infinite-value state
-                    # only if the interval forces positive mass there.
-                    forced_inf = any(
-                        values[t] == np.inf and row[t][0] > 0 for t in row
-                    )
-                    if forced_inf:
-                        values[state] = np.inf
-                        continue
-                    capped = {
-                        t: bounds
-                        for t, bounds in row.items()
-                        if values[t] != np.inf
-                    }
-                    updated = self.state_rewards[state] + self._inner_optimum(
-                        capped, values, maximise
-                    )
-                else:
-                    updated = self.state_rewards[state] + self._inner_optimum(
-                        row, values, maximise
-                    )
-                if values[state] != np.inf:
-                    delta = max(delta, abs(updated - values[state]))
-                values[state] = updated
-                if np.isnan(updated) or (
-                    values[state] != np.inf
-                    and abs(values[state]) > _VI_DIVERGENCE_LIMIT
-                ):
-                    diverged = True
-            if delta < tol:
-                converged = True
-                break
-        report = VIReport(
-            iterations, converged and not diverged, float(delta), diverged
-        )
-        return values, report
+        """Robust expected rewards plus convergence accounting: ``inf``
+        where reward can diverge, decided by qualitative graph analysis
+        (see :meth:`_solve`), not by numeric thresholds."""
+        return self._solve(targets, maximise, True, max_iterations, tolerance)
 
     def expected_reward_values(
         self, targets: Set[State], maximise: bool
@@ -527,8 +544,9 @@ class IntervalMDP:
     The Puggelli et al. setting the paper's related work builds on:
     the controller picks actions, nature picks any distribution inside
     the chosen action's intervals.  Robust value iteration solves the
-    resulting zero-sum step game; nature's inner optimum has the same
-    greedy closed form as for :class:`IntervalDTMC`.
+    resulting zero-sum step game on the same lowered rows as
+    :class:`IntervalDTMC` (one row per state-action choice), reducing
+    over actions as :class:`~repro.checking.matrix.MDPMatrix` does.
 
     Parameters
     ----------
@@ -548,7 +566,8 @@ class IntervalMDP:
         labels: Optional[Mapping[State, Iterable[str]]] = None,
     ):
         self.states = list(states)
-        if initial_state not in set(self.states):
+        known = set(self.states)
+        if initial_state not in known:
             raise ModelValidationError(f"unknown initial state {initial_state!r}")
         self.initial_state = initial_state
         self.intervals: Dict[State, Dict[object, Dict[State, Tuple[float, float]]]] = {}
@@ -561,7 +580,7 @@ class IntervalMDP:
                 lower_sum = sum(bounds[0] for bounds in row.values())
                 upper_sum = sum(bounds[1] for bounds in row.values())
                 for target, (lower, upper) in row.items():
-                    if target not in set(self.states):
+                    if target not in known:
                         raise ModelValidationError(f"unknown target {target!r}")
                     if not 0.0 <= lower <= upper <= 1.0 + 1e-12:
                         raise ModelValidationError(
@@ -617,23 +636,23 @@ class IntervalMDP:
         controller with a pessimistic nature
         (``controller_maximises=True, nature_maximises=False``).
         """
+        index = {s: i for i, s in enumerate(self.states)}
+        rows = _IntervalRows(
+            [row for s in self.states for row in self.intervals[s].values()], index
+        )
+        groups = np.cumsum([0] + [len(self.intervals[s]) for s in self.states])
+        reduce = np.maximum if controller_maximises else np.minimum
         targets = set(targets)
-        values = {s: (1.0 if s in targets else 0.0) for s in self.states}
-        pick = max if controller_maximises else min
+        target = np.fromiter((s in targets for s in self.states), dtype=bool)
+        values = target.astype(np.float64)
         for _ in range(_VI_MAX_ITERATIONS):
-            delta = 0.0
-            for state in self.states:
-                if state in targets:
-                    continue
-                best = pick(
-                    IntervalDTMC._inner_optimum(row, values, nature_maximises)
-                    for row in self.intervals[state].values()
-                )
-                delta = max(delta, abs(best - values[state]))
-                values[state] = best
+            choices = rows.matrix(rows.pick(values, nature_maximises)) @ values
+            updated = np.where(target, 1.0, reduce.reduceat(choices, groups[:-1]))
+            delta = np.abs(updated - values).max()
+            values = updated
             if delta < _VI_TOLERANCE:
                 break
-        return {s: float(np.clip(v, 0.0, 1.0)) for s, v in values.items()}
+        return dict(zip(self.states, np.clip(values, 0.0, 1.0).tolist()))
 
     def reachability_probability(
         self,
@@ -657,38 +676,19 @@ def robustness_certificate(
 ) -> bool:
     """Certify that every ε-perturbation of ``chain`` satisfies ``formula``.
 
-    Builds the ±ε interval chain (structure preserved) and checks the
-    property against the adversarial bound: for an upper-bound formula
-    nature maximises the checked quantity, for a lower bound it
-    minimises.  Supports the non-nested ``P ⋈ b [φ1 U φ2]`` and
-    ``R ⋈ b [F φ]`` fragment used by the repairs.
+    Checks the ±ε interval chain (structure preserved) against the
+    adversarial bound — nature maximises the checked quantity for an
+    upper-bound formula and minimises it for a lower bound — through
+    :func:`repro.repair.robust.robust_verify`, on the non-nested
+    ``P ⋈ b [φ1 U φ2]`` / ``R ⋈ b [F φ]`` fragment of the repairs.  A
+    solve that cannot certify (capped or divergent) answers ``False``.
 
     Combined with Model Repair this closes the trust loop: a repair with
     Proposition 1 bound ε whose certificate holds at ε' stays trusted
     under any further drift up to ε'.
     """
-    from repro.checking.parametric import label_satisfaction_set
-    from repro.logic.pctl import (
-        ProbabilisticOperator,
-        RewardOperator,
-        Until,
-        check_comparison,
-    )
+    from repro.repair.robust import _reachability_form, robust_verify
 
-    interval_chain = IntervalDTMC.from_dtmc(chain, epsilon)
-    if isinstance(formula, ProbabilisticOperator):
-        path = formula.path
-        if not isinstance(path, Until) or path.step_bound is not None:
-            raise TypeError("certificate supports unbounded until formulas")
-        targets = label_satisfaction_set(chain.states, chain.labels, path.right)
-        maximise = formula.comparison in ("<", "<=")
-        value = interval_chain.reachability_probability(set(targets), maximise)
-        return check_comparison(formula.comparison, value, formula.bound)
-    if isinstance(formula, RewardOperator):
-        targets = label_satisfaction_set(
-            chain.states, chain.labels, formula.path.right
-        )
-        maximise = formula.comparison in ("<", "<=")
-        value = interval_chain.expected_reward(set(targets), maximise)
-        return check_comparison(formula.comparison, value, formula.bound)
-    raise TypeError("certificate expects a top-level P or R operator")
+    _reachability_form(chain, formula)  # TypeError outside the fragment
+    certificate = robust_verify(chain, formula, epsilon, want_witness=False)
+    return certificate.robust and certificate.holds

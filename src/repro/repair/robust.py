@@ -8,13 +8,13 @@ Following the robust-MDP line of work (Puggelli et al.; Suilen et al.,
 result satisfies ``φ`` for *every* chain in the ±ε interval ball around
 the repaired model, not just the nominal instantiation:
 
-1. **robust pre-check** — adversarial (robust) value iteration on the
-   ε-ball around the original model; a robustly-satisfied original
-   short-circuits the solve;
+1. **robust pre-check** — the adversarial (robust) solve of
+   :mod:`repro.mdp.interval` on the ε-ball around the original model; a
+   robustly-satisfied original short-circuits the solve;
 2. **nominal solve** — the wrapped builder's
    :class:`~repro.repair.RepairProblem` runs through the shared engine,
-   with the concrete re-verification hook replaced by robust VI over
-   the interval set (never sampling);
+   with the concrete re-verification hook replaced by the robust solve
+   over the interval set (never sampling);
 3. **certificate** — a :class:`RobustCertificate` records the
    worst-case value and signed margin over the uncertainty set, plus
    nature's extremal member chain as a counterexample witness when
@@ -23,8 +23,8 @@ the repaired model, not just the nominal instantiation:
    the constraint bound is tightened by the measured shortfall (times a
    safety factor) and the problem re-solved, a bounded number of times.
 
-Graceful degradation, never a silent pass: robust VI runs under an
-iteration cap with divergence detection and falls back to the nominal
+Graceful degradation, never a silent pass: the robust solve runs under
+a sweep cap with divergence detection and falls back to the nominal
 check with ``robust=False`` (and a ``fallback_reason``) when it cannot
 certify — the service layer surfaces those via the
 ``robust_vi_iterations`` / ``robust_fallbacks`` telemetry counters.
@@ -55,8 +55,8 @@ from repro.repair.results import RepairResult
 DEFAULT_EPSILON = 0.01
 #: Default bound on constraint-tightening re-solves.
 DEFAULT_MAX_OUTER_ITERATIONS = 5
-#: Default robust-VI iteration cap (well below the module-level VI
-#: ceiling, so a stuck iteration degrades instead of spinning).
+#: Default cap on robust-solve Bellman sweeps (well below the
+#: module-level ceiling, so a stuck solve degrades instead of spinning).
 DEFAULT_VI_MAX_ITERATIONS = 50_000
 #: The measured robustness shortfall is multiplied by this factor when
 #: tightening, so the loop overshoots slightly instead of creeping.
@@ -85,7 +85,9 @@ class RobustCertificate:
         holds with room to spare under every member chain, negative
         measures the worst-case violation.
     vi_iterations / converged:
-        Robust-VI accounting (0 / ``False`` on the pure-nominal path).
+        Bellman sweeps of the robust solve — nature-strategy picks plus
+        the validating sweep — and its convergence (0 / ``False`` on the
+        pure-nominal path).
     fallback_reason:
         ``None`` on the robust path; otherwise why robust VI was
         abandoned (``"vi-iteration-cap"``, ``"vi-diverged"``,
@@ -255,7 +257,7 @@ def robust_verify(
 ) -> RobustCertificate:
     """Verify ``formula`` against every chain in the ±ε ball.
 
-    Runs robust (adversarial-nature) value iteration on
+    Runs the robust (adversarial-nature) solve on
     ``IntervalDTMC.from_dtmc(artifact, epsilon)`` — the adversary
     maximises the checked quantity for upper-bound comparisons and
     minimises it for lower bounds, so ``holds`` quantifies over the
@@ -350,7 +352,7 @@ class RobustRepairResult(RepairResult):
     outer_iterations:
         Constraint-tightening rounds actually solved.
     vi_iterations:
-        Total robust-VI sweeps across pre-check and every round.
+        Total robust-solve sweeps across pre-check and every round.
     perturbation_bound:
         Proposition 1's ε-bisimulation bound from the wrapped flavour
         (0 when it defines none).

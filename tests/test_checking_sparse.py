@@ -326,6 +326,45 @@ class TestMatrixAndCache:
         assert parametric_fingerprint(model) == parametric_fingerprint(rebuilt)
         assert cache.parametric_constraint(rebuilt, formula) is first
 
+    def test_parametric_constraint_shared_across_bounds(self):
+        """A tightened bound reuses the elimination, rebound to itself."""
+        from repro.checking.parametric import parametric_constraint
+
+        p, q = Polynomial.variable("p"), Polynomial.variable("q")
+        model = ParametricDTMC(
+            states=["a", "b", "c", "d"],
+            transitions={
+                "a": {"b": p, "a": 1 - p},
+                "b": {"c": q, "d": 1 - q},
+                "c": {"c": 1},
+                "d": {"a": 1},
+            },
+            initial_state="a",
+            labels={"c": {"done"}},
+        )
+        cache = CheckCache()
+        loose = parse_pctl('P<=0.9 [ F "done" ]')
+        tight = parse_pctl('P<=0.7 [ F "done" ]')
+        first = cache.parametric_constraint(model, loose)
+        second = cache.parametric_constraint(model, tight)
+        assert cache.stats()["parametric_eliminations"] == 1
+        assert second.function is first.function
+        assert second.compiled() is first.compiled()
+        assert (second.comparison, second.bound) == ("<=", 0.7)
+        assert cache.parametric_constraint(model, loose) is first
+        fresh = parametric_constraint(model, tight)
+        for point in ({"p": 0.3, "q": 0.2}, {"p": 0.9, "q": 0.6}):
+            assert second.margin(point) == pytest.approx(
+                fresh.margin(point), abs=1e-12
+            )
+            assert second.fast_margin(point) == pytest.approx(
+                fresh.margin(point), abs=1e-12
+            )
+            x = np.array([point[name] for name in second.stacked().params])
+            assert second.stacked().margins(x)[0] == pytest.approx(
+                fresh.margin(point), abs=1e-12
+            )
+
     def test_get_cache_defaults_to_global(self):
         private = CheckCache()
         assert get_cache(private) is private

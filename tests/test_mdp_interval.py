@@ -335,3 +335,93 @@ class TestIntervalMDP:
 
         with pytest.raises(ModelValidationError):
             IntervalMDP(states=["a"], intervals={}, initial_state="a")
+
+
+class TestNatureStrategyIteration:
+    """Edge cases of the exact solver that random chains rarely hit."""
+
+    def test_reward_min_on_zero_reward_cycle_follows_rmin(self):
+        # Nature may cycle a -> b -> a forever at zero cost, but every
+        # path that reaches t pays 1 on e.  Rmin ranges over strategies
+        # that reach the target, so the value is 1, not the least
+        # fixpoint 0 value iteration converges to.
+        interval = IntervalDTMC(
+            states=["a", "b", "e", "t"],
+            intervals={
+                "a": {"b": (0.0, 1.0), "e": (0.0, 1.0)},
+                "b": {"a": (1.0, 1.0)},
+                "e": {"t": (1.0, 1.0)},
+                "t": {"t": (1.0, 1.0)},
+            },
+            initial_state="a",
+            state_rewards={"e": 1.0},
+        )
+        values, report = interval.expected_reward_values_report(
+            {"t"}, maximise=False
+        )
+        assert report.converged and not report.diverged
+        assert values["a"] == pytest.approx(1.0)
+        assert values["b"] == pytest.approx(1.0)
+        witness = interval.extremal_chain(values, maximise=False)
+        assert witness.probability("a", "e") == pytest.approx(1.0)
+
+    def test_tied_rows_keep_their_strategy(self):
+        # The first pick sends c through g1 (reward 5) rather than the
+        # free detour g2 -> h, so c switches in round two.  Meanwhile a
+        # is tied between b and e; switching a on that tie would close
+        # the zero-reward cycle a <-> b and leave a singular system.
+        interval = IntervalDTMC(
+            states=["a", "b", "e", "c", "g1", "g2", "h", "t"],
+            intervals={
+                "a": {"b": (0.0, 1.0), "e": (0.0, 1.0)},
+                "b": {"a": (1.0, 1.0)},
+                "e": {"t": (1.0, 1.0)},
+                "c": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)},
+                "g1": {"t": (1.0, 1.0)},
+                "g2": {"h": (1.0, 1.0)},
+                "h": {"t": (1.0, 1.0)},
+            },
+            initial_state="c",
+            state_rewards={"e": 1.0, "g1": 5.0},
+        )
+        values, report = interval.expected_reward_values_report(
+            {"t"}, maximise=False
+        )
+        assert report.converged and not report.diverged
+        assert report.iterations == 3  # first pick, one switch, validation
+        assert values["c"] == pytest.approx(0.0)
+        assert values["a"] == pytest.approx(1.0)
+
+    def test_min_reachability_sees_a_trap_hidden_by_ties(self):
+        # u1 and u2 can bounce between each other forever, so nature's
+        # minimum is 0 even though a tied first pick routes both to t.
+        interval = IntervalDTMC(
+            states=["u1", "u2", "x", "y", "t"],
+            intervals={
+                "u1": {"x": (0.0, 1.0), "u2": (0.0, 1.0)},
+                "u2": {"y": (0.0, 1.0), "u1": (0.0, 1.0)},
+                "x": {"t": (1.0, 1.0)},
+                "y": {"t": (1.0, 1.0)},
+            },
+            initial_state="u1",
+        )
+        values, report = interval.reachability_values_report(
+            {"t"}, maximise=False
+        )
+        assert report.converged
+        assert values["u1"] == pytest.approx(0.0)
+        assert interval.reachability_probability({"t"}, True) == pytest.approx(
+            1.0
+        )
+
+    def test_sweeps_counted_and_single_sweep_never_certifies(self):
+        interval = IntervalDTMC.from_dtmc(chain_dtmc(6, 0.7), epsilon=0.05)
+        _values, report = interval.expected_reward_values_report(
+            {5}, maximise=True
+        )
+        assert report.converged and 2 <= report.iterations <= 10
+        assert report.residual <= 1e-10
+        _values, capped = interval.expected_reward_values_report(
+            {5}, maximise=True, max_iterations=1
+        )
+        assert capped.iterations == 1 and not capped.converged
