@@ -222,10 +222,13 @@ class CheckCache:
         this cache actually performed — a warm persistent store keeps it
         at zero across whole batches.
 
-        ``order`` picks the elimination order for ``method="eliminate"``
-        (``"gauss"`` ignores it).  It is deliberately absent from the
-        key: every order produces the same closed form, so whichever
-        runs first is the one shared.  The bound is absent too: the
+        ``order`` picks the elimination order for ``method="eliminate"``;
+        ``"gauss"`` reduces its constant rows in min-degree order
+        whatever ``order`` says.  Both methods count the states they
+        eliminate in ``elimination_states`` / ``elimination_fill_in``.
+        ``order`` is deliberately absent from the key: every order
+        produces the same closed form, so whichever runs first is the
+        one shared.  The bound is absent too: the
         closed form is shared across bounds and returned rebound to this
         ``formula``'s comparison and bound
         (:meth:`~repro.checking.parametric.ParametricConstraint.rebound`).

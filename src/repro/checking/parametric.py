@@ -21,6 +21,10 @@ and, for expected rewards, accumulating
 
     r'(u) = r(u) + p(u, s) · r(s) / (1 − p(s, s)).
 
+The default ``gauss`` engine applies this rule only to the states
+whose row is constant, then solves the linear system of the remaining
+parametric core by fraction-free Cramer's rule.
+
 The standard *graph-preserving* assumption applies: a transition's
 rational function must be structurally nonzero and must stay positive on
 the parameter region of interest (the repair formulations guarantee this
@@ -163,7 +167,8 @@ class ParametricDTMC:
         state_rewards: Optional[Mapping[State, Coefficient]] = None,
     ):
         self.states = list(states)
-        if initial_state not in set(self.states):
+        state_set = set(self.states)
+        if initial_state not in state_set:
             raise ValueError(f"unknown initial state {initial_state!r}")
         self.initial_state = initial_state
         self.transitions: Dict[State, Dict[State, RationalFunction]] = {}
@@ -171,7 +176,7 @@ class ParametricDTMC:
             row = transitions.get(source, {})
             symbolic_row = {}
             for target, value in row.items():
-                if target not in set(self.states):
+                if target not in state_set:
                     raise ValueError(f"unknown target state {target!r}")
                 rational = _as_rational(value)
                 if not rational.is_zero():
@@ -241,7 +246,7 @@ class ParametricDTMC:
         targets: Iterable[State],
         allowed: Optional[Set[State]] = None,
         method: str = "gauss",
-        order: str = "insertion",
+        order: str = "min-degree",
         stats: Optional[Dict[str, int]] = None,
     ) -> RationalFunction:
         """``Pr_{s0}(allowed U targets)`` as a rational function.
@@ -251,15 +256,21 @@ class ParametricDTMC:
         Parameters
         ----------
         method:
-            ``"gauss"`` (default) solves the reachability linear system
-            by fraction-free Cramer's rule — intermediate polynomial
-            degrees stay bounded by the state count, so it scales to
-            denser models.  ``"eliminate"`` is classic Daws state
-            elimination; equivalent output, but intermediate rational
-            functions can blow up on dense graphs.
-        order / stats:
-            Elimination order and counter sink for ``"eliminate"`` (see
-            :meth:`_eliminate`); ignored by ``"gauss"``.
+            ``"gauss"`` (default) works in two steps.  It first
+            eliminates every state whose row is constant (min-degree
+            order, see :meth:`_parametric_core`); that only multiplies
+            weights by constants, so no entry grows in degree.  It then
+            solves the remaining parametric core by fraction-free
+            Cramer's rule, whose intermediate degrees stay bounded by
+            the core's size.  ``"eliminate"`` is classic Daws state
+            elimination of every state; equivalent output, but
+            intermediate rational functions can blow up on dense graphs.
+        order:
+            Elimination order for ``"eliminate"`` (see
+            :meth:`_eliminate`); ``"gauss"`` always reduces in
+            min-degree order.
+        stats:
+            Counter sink for the states either method eliminates.
         """
         targets = set(targets)
         if self.initial_state in targets:
@@ -268,7 +279,9 @@ class ParametricDTMC:
         if matrix is None:
             return RationalFunction.zero()
         _ANALYSIS_COUNTER["count"] += 1
+        rewards = {s: RationalFunction.zero() for s in matrix}
         if method == "gauss":
+            matrix, _ = self._parametric_core(matrix, rewards, targets, stats)
             rhs = {}
             for state, row in matrix.items():
                 if state in targets:
@@ -281,7 +294,6 @@ class ParametricDTMC:
             return self._cramer_solve(matrix, targets, rhs)
         if method != "eliminate":
             raise ValueError(f"unknown method {method!r}")
-        rewards = {s: RationalFunction.zero() for s in matrix}
         matrix, rewards = self._eliminate(
             matrix, rewards, targets | {self.initial_state}, order=order,
             stats=stats,
@@ -344,7 +356,7 @@ class ParametricDTMC:
         self,
         targets: Iterable[State],
         method: str = "gauss",
-        order: str = "insertion",
+        order: str = "min-degree",
         stats: Optional[Dict[str, int]] = None,
     ) -> RationalFunction:
         """``E[cumulative reward until reaching targets]`` symbolically.
@@ -367,20 +379,21 @@ class ParametricDTMC:
                 f"{sorted(map(str, stuck))} reachable from the initial state "
                 "cannot reach the target"
             )
-        matrix = self._restricted_matrix(targets, allowed=None)
-        if matrix is None or self.initial_state not in matrix:
+        if self.initial_state not in can_reach:
             raise ValueError("initial state cannot reach the target")
+        matrix = self._restricted_matrix(
+            targets, allowed=None, reachable=reachable, can_reach=can_reach
+        )
         _ANALYSIS_COUNTER["count"] += 1
+        rewards = {s: self.state_rewards[s] for s in matrix}
         if method == "gauss":
-            rhs = {
-                state: self.state_rewards[state]
-                for state in matrix
-                if state not in targets
-            }
+            matrix, rewards = self._parametric_core(
+                matrix, rewards, targets, stats
+            )
+            rhs = {s: rewards[s] for s in matrix if s not in targets}
             return self._cramer_solve(matrix, targets, rhs)
         if method != "eliminate":
             raise ValueError(f"unknown method {method!r}")
-        rewards = {s: self.state_rewards[s] for s in matrix}
         matrix, rewards = self._eliminate(
             matrix, rewards, targets | {self.initial_state}, order=order,
             stats=stats,
@@ -492,7 +505,11 @@ class ParametricDTMC:
         return seen
 
     def _restricted_matrix(
-        self, targets: Set[State], allowed: Optional[Set[State]]
+        self,
+        targets: Set[State],
+        allowed: Optional[Set[State]],
+        reachable: Optional[Set[State]] = None,
+        can_reach: Optional[Set[State]] = None,
     ) -> Optional[Dict[State, Dict[State, RationalFunction]]]:
         """Sub-stochastic matrix keeping only states that matter.
 
@@ -500,11 +517,16 @@ class ParametricDTMC:
         state, (b) able to reach the targets through ``allowed`` states,
         plus the targets themselves (made absorbing).  Returns ``None``
         when the initial state cannot reach the targets at all.
+        Callers that already hold the sets of (a) and (b) pass them as
+        ``reachable`` / ``can_reach``.
         """
-        can_reach = self._states_reaching(targets, allowed)
+        if can_reach is None:
+            can_reach = self._states_reaching(targets, allowed)
         if self.initial_state not in can_reach:
             return None
-        keep = (self._forward_reachable(targets) & can_reach) | targets
+        if reachable is None:
+            reachable = self._forward_reachable(targets)
+        keep = (reachable & can_reach) | targets
         if allowed is not None:
             keep = {
                 s
@@ -525,12 +547,36 @@ class ParametricDTMC:
             }
         return matrix
 
+    def _parametric_core(
+        self,
+        matrix: Dict[State, Dict[State, RationalFunction]],
+        rewards: Dict[State, RationalFunction],
+        targets: Set[State],
+        stats: Optional[Dict[str, int]] = None,
+    ):
+        """Eliminate every constant-row state (Schur reduction).
+
+        Only the targets, the initial state and the states whose row
+        has a non-constant entry survive.  Eliminating a constant row
+        multiplies incoming weights by constants, so constant rows stay
+        constant and parametric entries never grow in degree; the
+        Cramer solve that follows then works on the parametric core
+        only.  A chain that is parametric in every row is left as is.
+        """
+        protected = set(targets) | {self.initial_state}
+        for state, row in matrix.items():
+            if any(not function.is_constant() for function in row.values()):
+                protected.add(state)
+        return self._eliminate(
+            matrix, rewards, protected, order="min-degree", stats=stats
+        )
+
     @staticmethod
     def _eliminate(
         matrix: Dict[State, Dict[State, RationalFunction]],
         rewards: Dict[State, RationalFunction],
         protected: Set[State],
-        order: str = "insertion",
+        order: str = "min-degree",
         stats: Optional[Dict[str, int]] = None,
     ):
         """Eliminate every state not in ``protected``.
@@ -785,7 +831,7 @@ def parametric_constraint(
     model: ParametricDTMC,
     formula: StateFormula,
     method: str = "gauss",
-    order: str = "insertion",
+    order: str = "min-degree",
     stats: Optional[Dict[str, int]] = None,
 ) -> ParametricConstraint:
     """Reduce ``model |= formula`` to a rational constraint.
