@@ -12,7 +12,8 @@ Two regimes, reported honestly:
   ~2×.  Reported, not asserted.
 
 Results (per-evaluation microbenchmarks plus both NLP arms) are written
-to ``BENCH_repair_nlp.json`` next to this file.
+to ``BENCH_repair_nlp.json`` next to this file, together with the
+codegen-vs-numpy crossover that sets ``_CODEGEN_TERM_LIMIT``.
 """
 
 import json
@@ -20,8 +21,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 from conftest import report
 from repro.casestudies import wsn
+from repro.checking import CheckCache
+from repro.core.api import check_model
 from repro.core.model_repair import ModelRepair
 from repro.logic.pctl import (
     AtomicProposition,
@@ -31,7 +35,9 @@ from repro.logic.pctl import (
 )
 from repro.mdp.model import DTMC
 from repro.optimize.nlp import Constraint, NonlinearProgram
+from repro.repair.cegis import CegisRepair
 from repro.repair.engine import solve_repair
+from repro.symbolic import compile as compile_module
 
 RESULTS_PATH = Path(__file__).with_name("BENCH_repair_nlp.json")
 
@@ -248,4 +254,69 @@ def test_end_to_end_verdicts_unchanged(benchmark):
     rows = {f"X={b}": s for b, s in measured.items()}
     rows["ladder"] = ladder.status
     save_results("verdicts", rows)
+    report(benchmark, rows)
+
+
+def cegis_kernels(sizes):
+    """One stacked kernel per (terms, rows) shape CEGIS builds on the WSN."""
+    kernels = {}
+    for size in sizes:
+        chain = wsn.build_monitored_chain(size=size)
+        nominal = check_model(chain, wsn.clean_delivery_property(1.0)).value
+        problem = wsn.monitored_repair_problem(
+            bound=round(0.2 * nominal, 6), size=size
+        )
+        cache = CheckCache()
+        problem.cache = cache
+        CegisRepair(problem).repair(seed=0)
+        for key, value in cache._store.items():
+            if key[0] == "corridor":
+                kernel = value.stacked()
+            elif key[0] == "stacked":
+                kernel = value
+            else:
+                continue
+            kernels.setdefault((len(kernel.exponents), kernel.size), kernel)
+    return [kernels[shape] for shape in sorted(kernels)]
+
+
+def test_codegen_crossover(benchmark, quick_bench, monkeypatch):
+    """Per-call ``margins_and_jacobian`` cost: generated code vs numpy.
+
+    Generated scalar code wins on small term tables (numpy's per-call
+    dispatch dominates there) and loses on large ones; the crossover is
+    where ``_CODEGEN_TERM_LIMIT`` sits.
+    """
+    sizes = range(3, 7) if quick_bench else range(3, 9)
+    kernels = benchmark.pedantic(
+        cegis_kernels, args=(sizes,), rounds=1, iterations=1
+    )
+    rng = np.random.default_rng(0)
+
+    def per_call_us(kernel, point, limit):
+        monkeypatch.setattr(compile_module, "_CODEGEN_TERM_LIMIT", limit)
+        kernel.margins_and_jacobian(point)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(200):
+                kernel.margins_and_jacobian(point)
+            best = min(best, (time.perf_counter() - start) / 200)
+        return round(best * 1e6, 1)
+
+    rows = {}
+    for kernel in kernels:
+        point = rng.uniform(0.05, 0.5, len(kernel.params))
+        key = f"T={len(kernel.exponents)},k={kernel.size}"
+        rows[key] = {
+            "codegen_us": per_call_us(kernel, point, float("inf")),
+            "numpy_us": per_call_us(kernel, point, -1),
+            "variables": len(kernel.params),
+        }
+    # ``kernels`` is sorted by term count: first the smallest table.
+    smallest, largest = list(rows.values())[0], list(rows.values())[-1]
+    assert smallest["codegen_us"] < smallest["numpy_us"]
+    if not quick_bench:
+        assert largest["numpy_us"] < largest["codegen_us"]
+        save_results("codegen_crossover_cegis_wsn", rows)
     report(benchmark, rows)

@@ -242,10 +242,10 @@ class CheckCache:
                 model, formula, method=method, order=order, stats=stats
             )
             self._record_elimination(stats, time.perf_counter() - started)
-            # Pre-compile the numpy kernel and the one-row stacked kernel
-            # so both are memoised (and, with a persistent backing,
-            # pickled) beside the elimination — warm runs then skip the
-            # elimination *and* every compilation.
+            # Lower the closed form once and wrap the one-row stacked
+            # kernel around the same table, so both are memoised (and,
+            # with a persistent backing, pickled) beside the elimination
+            # — warm runs then skip the elimination *and* every lowering.
             constraint.compiled()
             constraint.stacked()
             return constraint
@@ -326,10 +326,11 @@ class CheckCache:
 
         A single constraint reuses its own cached one-row kernel
         (:meth:`ParametricConstraint.stacked` — already pickled beside
-        the elimination); multiple constraints build one
-        :class:`~repro.symbolic.compile.StackedConstraintKernel` under a
-        content-addressed key, so same-fingerprint repair problems (and
-        same-fingerprint service jobs in a batch) share one compilation.
+        the elimination); multiple constraints merge their lowered tables
+        into one :class:`~repro.symbolic.compile.StackedConstraintKernel`
+        under a content-addressed key, so same-fingerprint repair
+        problems (and same-fingerprint service jobs in a batch) share
+        one merge.
         """
         constraints = list(constraints)
         if not constraints:

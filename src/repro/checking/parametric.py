@@ -750,9 +750,10 @@ class ParametricConstraint:
         The margin row ``sign · (f(v) − b)`` as a
         :class:`~repro.symbolic.compile.StackedConstraintKernel`; the
         NLP solver fuses it with sibling constraints' rows (or uses it
-        standalone) so SLSQP sees one vector-valued callback.  Picklable
-        and cached on the object, so warm stores carry it alongside
-        :meth:`compiled`.
+        standalone) so SLSQP sees one vector-valued callback.  It is read
+        from the :meth:`compiled` table (same arrays, no second
+        lowering).  Picklable and cached on the object, so warm stores
+        carry it alongside :meth:`compiled`.
         """
         try:
             cached = self._stacked
@@ -772,7 +773,8 @@ class ParametricConstraint:
 
         Shares ``function`` and the :meth:`compiled` kernel; the
         :meth:`stacked` kernel bakes the bound in, so the copy rebuilds
-        it on first use.  ``self`` when nothing changes.
+        it, from the shared table, on first use.  ``self`` when nothing
+        changes.
         """
         if comparison == self.comparison and float(bound) == self.bound:
             return self

@@ -51,6 +51,18 @@ _JOINT_DIMENSION_LIMIT = 64
 _JOINT_CONSTRAINT_LIMIT = 32
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known).
+
+    ``os.cpu_count()`` counts the host's CPUs, so a process pinned to
+    one CPU (``taskset``, a cgroup cpuset) would still get a pool.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 class _FusedEvaluation:
     """Per-iterate memo over one stacked kernel.
 
@@ -608,16 +620,18 @@ class NonlinearProgram:
         to the per-start loop if no block lands feasible, so the fused
         path can never report infeasible where the loop would not).
 
-        ``parallel=None`` enables the thread pool only on multi-CPU
-        hosts; the fused paths make per-start threading pure overhead on
-        a single core.
+        ``parallel=None`` enables the thread pool only when this process
+        may run on more than one CPU (its affinity mask, not the host's
+        CPU count); the fused paths make per-start threading pure
+        overhead on a single core.  The pool keeps start order, so the
+        result does not depend on it.
         """
         bounds = [(v.lower, v.upper) for v in self.variables]
         lower_bounds = np.array([b[0] for b in bounds])
         upper_bounds = np.array([b[1] for b in bounds])
         order = [v.name for v in self.variables]
         if parallel is None:
-            parallel = (os.cpu_count() or 1) > 1
+            parallel = _usable_cpus() > 1
 
         members, stack = self._resolve_stack(stacked)
         member_ids = frozenset(id(c) for c in members)
@@ -795,7 +809,7 @@ class NonlinearProgram:
             # never misses a verdict the legacy path would find.
 
         if parallel and len(starts) > 1:
-            workers = max_workers or min(len(starts), os.cpu_count() or 1)
+            workers = max_workers or min(len(starts), _usable_cpus())
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 attempts = list(pool.map(run_start, starts))
         else:

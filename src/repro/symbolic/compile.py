@@ -16,6 +16,20 @@ coefficient vector ``c[t]`` — after which
   derivative share one power-product (common-subexpression sharing), so
   an analytic value-plus-gradient costs barely more than a value.
 
+Each closed form is lowered once.  :func:`_lower` reads every partial
+derivative row straight off the polynomial's terms (no intermediate
+symbolic derivative), and a :class:`StackedConstraintKernel` merges its
+rows' own cached tables instead of lowering again, so a constraint that
+joins several stacks costs one lowering plus cheap re-indexing.
+
+Small kernels (at most :data:`_CODEGEN_TERM_LIMIT` terms) evaluate
+single points through generated plain-float Python functions; there
+numpy's per-call dispatch, not arithmetic, is the cost, and generated
+code is about 2–3x faster.  Above the limit the generated source grows
+with terms × partials, costs milliseconds to build, and runs slower
+than numpy, so larger kernels stay on numpy (``docs/performance.md``,
+"Kernel lowering", has the measured crossover).
+
 Kernels are plain data (tuples + numpy arrays): picklable, so the
 :class:`~repro.checking.cache.CheckCache` / result-store layer memoizes
 them beside the eliminations and warm service runs skip compilation too.
@@ -62,9 +76,10 @@ def kernel_stats() -> Dict[str, int]:
 
     ``compilations`` counts symbolic→numeric lowerings performed in this
     process (kernels restored from a pickle — e.g. a warm result store —
-    do not count); ``evaluations`` counts evaluated *rows* — one per
-    point for the single-function kernels, ``points × constraints`` for
-    a :class:`StackedConstraintKernel`; ``dispatches`` counts python
+    and stacks merged from already-lowered rows do not count);
+    ``evaluations`` counts evaluated *rows* — one per point for the
+    single-function kernels, ``points × constraints`` for a
+    :class:`StackedConstraintKernel`; ``dispatches`` counts python
     entry calls into any kernel.  ``dispatches / evaluations`` is the
     dispatch ratio the scalability benchmarks report: 1.0 means every
     row paid python call overhead (the dispatch-bound regime), values
@@ -73,39 +88,72 @@ def kernel_stats() -> Dict[str, int]:
     return dict(_KERNEL_COUNTER)
 
 
-def _term_table(
+def _lower(
     polynomials: Sequence[Polynomial], params: Tuple[str, ...]
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """One shared ``(E, [c_0, c_1, ...])`` table for several polynomials.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower polynomials and all their partials onto one term table.
 
-    ``E`` is the union exponent matrix over every monomial occurring in
-    any input; each polynomial becomes a dense coefficient vector over
-    that shared term axis.  Evaluating the power-product ``x**E`` once
-    then serves every polynomial with a single dot product each.
+    Returns ``(E, C)``: ``E`` is the ``(T, n)`` exponent matrix of every
+    monomial occurring in any input or any of its partial derivatives,
+    and ``C[p, 0]`` / ``C[p, 1 + j]`` are the dense coefficient rows of
+    ``polynomials[p]`` / its partial by ``params[j]`` over that shared
+    term axis.  Evaluating the power-product ``x**E`` once then serves
+    every row with a single dot product each.
+
+    The partial rows are read straight off the terms, with no
+    intermediate :class:`Polynomial`: each ``(v, e)`` factor of a term
+    ``c·m`` contributes ``c·e`` at ``m`` with ``v``'s exponent lowered by
+    one.  Distinct terms never lower onto the same monomial for one
+    ``v``, so every entry is a single exact product, and Python's
+    ``int / int`` is correctly rounded — the same float as
+    ``float(Polynomial.derivative(v).terms[m])``, bit for bit.
     """
+    column = {name: j for j, name in enumerate(params)}
+    width = 1 + len(params)
+    slots: List[int] = []
+    monomials: List[Monomial] = []
+    values: List[float] = []
+    for p, poly in enumerate(polynomials):
+        base = p * width
+        for mono, coeff in poly.terms.items():
+            top, bottom = coeff.as_integer_ratio()
+            slots.append(base)
+            monomials.append(mono)
+            values.append(top / bottom)
+            for i, (var, exp) in enumerate(mono):
+                slots.append(base + 1 + column[var])
+                if exp == 1:
+                    monomials.append(mono[:i] + mono[i + 1 :])
+                else:
+                    monomials.append(
+                        mono[:i] + ((var, exp - 1),) + mono[i + 1 :]
+                    )
+                values.append(top * exp / bottom)
     # The term axis is sorted canonically so that mathematically equal
     # polynomials compile to bit-identical kernels no matter how their
     # term dicts were built — elimination order then cannot perturb the
     # float summation order (verdict identity down to the last bit).
-    monomials = set()
-    for poly in polynomials:
-        monomials.update(poly.terms)
-    index: Dict[Monomial, int] = {
-        mono: row for row, mono in enumerate(sorted(monomials))
-    }
-    count = len(index)
-    exponents = np.zeros((count, len(params)), dtype=np.int64)
-    column = {name: j for j, name in enumerate(params)}
-    for mono, row in index.items():
+    axis = sorted(set(monomials))
+    index: Dict[Monomial, int] = {mono: t for t, mono in enumerate(axis)}
+    exponents = np.zeros((len(axis), len(params)), dtype=np.int64)
+    for t, mono in enumerate(axis):
         for var, exp in mono:
-            exponents[row, column[var]] = exp
-    coefficients = []
-    for poly in polynomials:
-        vector = np.zeros(count, dtype=np.float64)
-        for mono, coeff in poly.terms.items():
-            vector[index[mono]] = float(coeff)
-        coefficients.append(vector)
-    return exponents, coefficients
+            exponents[t, column[var]] = exp
+    table = np.zeros((len(polynomials) * width, len(axis)), dtype=np.float64)
+    if values:
+        table[slots, [index[mono] for mono in monomials]] = values
+    _KERNEL_COUNTER["compilations"] += 1
+    return exponents, table.reshape(len(polynomials), width, len(axis))
+
+
+def _term_monomials(kernel: "_Kernel") -> List[Monomial]:
+    """The canonical monomial of every row of ``kernel.exponents``."""
+    names = kernel.params
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    return [
+        tuple((names[j], row[j]) for j in by_name if row[j])
+        for row in kernel.exponents.tolist()
+    ]
 
 
 #: Power-of-two magnitude beyond which exact coefficients are rescaled
@@ -162,17 +210,21 @@ def _default_params(*polynomials: Polynomial) -> Tuple[str, ...]:
     return tuple(sorted(names))
 
 
-#: Above this many shared terms the scalar path stays on numpy — the
-#: generated source would be huge, and vectorized dot products win at
-#: that size anyway.
-_CODEGEN_TERM_LIMIT = 2048
+#: Above this many shared terms the scalar path stays on numpy.  Measured
+#: per ``margins_and_jacobian`` call on the monitored-WSN CEGIS stacks,
+#: generated code wins up to about 64 terms for every row count and
+#: loses beyond about 100 (at 1822 terms it is 2–3x slower), while its
+#: source and bytecode cost milliseconds to build
+#: (``benchmarks/bench_compiled_kernels.py::test_codegen_crossover``).
+_CODEGEN_TERM_LIMIT = 64
 
 
 def _polynomial_source(exponents: np.ndarray, coefficients: np.ndarray) -> str:
     """Python source of ``Σ c_t · Π x_j^e`` with zero terms dropped.
 
     ``repr(float)`` round-trips exactly, so the generated expression
-    computes the same float arithmetic the numpy dot product would.
+    uses the kernel's exact float coefficients; it sums terms left to
+    right, so it may differ from numpy's dot product in the last bits.
     """
     parts = []
     for row, coeff in zip(exponents, coefficients):
@@ -197,8 +249,8 @@ def _scalar_function(name: str, arity: int, expressions: List[str]):
 
     Scalar evaluation of a small kernel is dominated by numpy ufunc
     dispatch, not arithmetic; a generated plain-float expression runs
-    an order of magnitude faster for the term counts state elimination
-    produces.  One function returns every requested expression so
+    about 2–3x faster up to :data:`_CODEGEN_TERM_LIMIT` terms and slower
+    beyond it.  One function returns every requested expression so
     callers pay the call overhead once per point.
     """
     args = ", ".join(f"x{j}" for j in range(arity))
@@ -280,16 +332,18 @@ class _Kernel:
     def _scalar(self):
         """The codegen'd scalar functions, built lazily (or ``None``).
 
-        Generated functions hold compiled code objects and therefore do
-        not pickle; :meth:`__getstate__` drops them, and a kernel
-        restored from the result store regenerates them on first scalar
-        use (cheap relative to the symbolic lowering itself).
+        ``None`` above :data:`_CODEGEN_TERM_LIMIT` terms, where numpy
+        wins; no source is ever generated for such a kernel.  Generated
+        functions hold compiled code objects and therefore do not
+        pickle; :meth:`__getstate__` drops them, and a kernel restored
+        from the result store regenerates them on first scalar use.
         """
+        if len(self.exponents) > _CODEGEN_TERM_LIMIT:
+            return None
         functions = self.__dict__.get("_scalar_fns")
         if functions is None:
-            functions = self._build_scalar()
-            self._scalar_fns = functions
-        return functions or None
+            functions = self._scalar_fns = self._build_scalar()
+        return functions
 
     def _build_scalar(self):
         raise NotImplementedError
@@ -321,24 +375,14 @@ class CompiledPolynomial(_Kernel):
         missing = polynomial.variables() - set(params)
         if missing:
             raise ValueError(f"params {params} do not cover {sorted(missing)}")
-        derivatives = [polynomial.derivative(name) for name in params]
-        exponents, coefficients = _term_table(
-            [polynomial] + derivatives, params
-        )
+        exponents, table = _lower([polynomial], params)
         super().__init__(params, exponents)
-        self.coefficients = coefficients[0]
+        self.coefficients = table[0, 0]
         #: ``(n, T)``: row ``i`` holds the coefficients of ``∂p/∂params[i]``
         #: over the shared term table.
-        self.gradient_coefficients = (
-            np.stack(coefficients[1:])
-            if params
-            else np.zeros((0, len(self.coefficients)))
-        )
-        _KERNEL_COUNTER["compilations"] += 1
+        self.gradient_coefficients = table[0, 1:]
 
     def _build_scalar(self):
-        if len(self.exponents) > _CODEGEN_TERM_LIMIT:
-            return False
         arity = len(self.params)
         return {
             "value": _scalar_function(
@@ -419,31 +463,15 @@ class CompiledRationalFunction(_Kernel):
         numerator, denominator = _float_safe_pair(
             function.numerator, function.denominator
         )
-        num_partials = [numerator.derivative(name) for name in params]
-        den_partials = [denominator.derivative(name) for name in params]
-        exponents, coefficients = _term_table(
-            [numerator, denominator] + num_partials + den_partials, params
-        )
+        exponents, table = _lower([numerator, denominator], params)
         super().__init__(params, exponents)
-        count = len(params)
-        self.numerator_coefficients = coefficients[0]
-        self.denominator_coefficients = coefficients[1]
-        terms = len(self.numerator_coefficients)
-        self.numerator_gradient = (
-            np.stack(coefficients[2 : 2 + count])
-            if count
-            else np.zeros((0, terms))
-        )
-        self.denominator_gradient = (
-            np.stack(coefficients[2 + count :])
-            if count
-            else np.zeros((0, terms))
-        )
-        _KERNEL_COUNTER["compilations"] += 1
+        self.numerator_coefficients = table[0, 0]
+        self.denominator_coefficients = table[1, 0]
+        #: ``(n, T)`` partial-derivative rows of numerator / denominator.
+        self.numerator_gradient = table[0, 1:]
+        self.denominator_gradient = table[1, 1:]
 
     def _build_scalar(self):
-        if len(self.exponents) > _CODEGEN_TERM_LIMIT:
-            return False
         arity = len(self.params)
         numerator = _polynomial_source(
             self.exponents, self.numerator_coefficients
@@ -617,6 +645,12 @@ class StackedConstraintKernel(_Kernel):
     request, the full ``(k, n)`` jacobian) from one power-product — the
     NLP's SLSQP callbacks stop paying per-constraint dispatch.
 
+    The rows are merged from each function's cached
+    :class:`CompiledRationalFunction` (:meth:`RationalFunction.compiled`),
+    so building a stack never lowers a closed form that is already
+    lowered; a one-row stack over the function's own parameters shares
+    that kernel's arrays.
+
     Row arithmetic matches the per-constraint
     :meth:`~repro.checking.parametric.ParametricConstraint.fast_margin`
     float path (value first, then ``sign · (value − bound)``), so fused
@@ -663,48 +697,54 @@ class StackedConstraintKernel(_Kernel):
                 raise ValueError(
                     f"params {params} do not cover {sorted(missing)}"
                 )
-        pairs = [
-            _float_safe_pair(function.numerator, function.denominator)
-            for function in functions
-        ]
-        polynomials: List[Polynomial] = []
-        for numerator, denominator in pairs:
-            polynomials.append(numerator)
-            polynomials.append(denominator)
-        for numerator, denominator in pairs:
-            for name in params:
-                polynomials.append(numerator.derivative(name))
-            for name in params:
-                polynomials.append(denominator.derivative(name))
-        exponents, coefficients = _term_table(polynomials, params)
-        super().__init__(params, exponents)
-        count = len(rows)
-        arity = len(params)
-        terms = len(exponents)
         self.signs = np.array([sign for _, sign, _ in rows], dtype=np.float64)
         self.bounds = np.array(
             [bound for _, _, bound in rows], dtype=np.float64
         )
-        #: ``(k, T)`` numerator / denominator coefficient rows.
-        self.numerator_coefficients = np.stack(coefficients[: 2 * count : 2])
-        self.denominator_coefficients = np.stack(
-            coefficients[1 : 2 * count : 2]
-        )
-        #: ``(k, n, T)``: partial-derivative coefficient rows per
-        #: constraint and parameter, over the shared term table.
-        partials = coefficients[2 * count :]
+        tables = [function.compiled() for function in functions]
+        if len(tables) == 1 and tables[0].params == params:
+            # One row over its own parameters: the table as it is.
+            table = tables[0]
+            super().__init__(params, table.exponents)
+            self.numerator_coefficients = table.numerator_coefficients[None]
+            self.denominator_coefficients = (
+                table.denominator_coefficients[None]
+            )
+            self.numerator_gradient = table.numerator_gradient[None]
+            self.denominator_gradient = table.denominator_gradient[None]
+            return
+        row_terms = [_term_monomials(table) for table in tables]
+        axis = sorted(set().union(*row_terms))
+        index = {mono: t for t, mono in enumerate(axis)}
+        column = {name: j for j, name in enumerate(params)}
+        count, arity, terms = len(tables), len(params), len(axis)
+        exponents = np.zeros((terms, arity), dtype=np.int64)
+        numerators = np.zeros((count, terms), dtype=np.float64)
+        denominators = np.zeros((count, terms), dtype=np.float64)
         numerator_gradient = np.zeros((count, arity, terms), dtype=np.float64)
         denominator_gradient = np.zeros(
             (count, arity, terms), dtype=np.float64
         )
-        for i in range(count):
-            block = partials[i * 2 * arity : (i + 1) * 2 * arity]
-            for j in range(arity):
-                numerator_gradient[i, j] = block[j]
-                denominator_gradient[i, j] = block[arity + j]
+        for i, (table, row) in enumerate(zip(tables, row_terms)):
+            at = np.array([index[mono] for mono in row], dtype=np.intp)
+            cols = np.array(
+                [column[name] for name in table.params], dtype=np.intp
+            )
+            exponents[np.ix_(at, cols)] = table.exponents
+            numerators[i, at] = table.numerator_coefficients
+            denominators[i, at] = table.denominator_coefficients
+            numerator_gradient[i][np.ix_(cols, at)] = table.numerator_gradient
+            denominator_gradient[i][np.ix_(cols, at)] = (
+                table.denominator_gradient
+            )
+        super().__init__(params, exponents)
+        #: ``(k, T)`` numerator / denominator coefficient rows.
+        self.numerator_coefficients = numerators
+        self.denominator_coefficients = denominators
+        #: ``(k, n, T)``: partial-derivative coefficient rows per
+        #: constraint and parameter, over the shared term table.
         self.numerator_gradient = numerator_gradient
         self.denominator_gradient = denominator_gradient
-        _KERNEL_COUNTER["compilations"] += 1
 
     @property
     def size(self) -> int:
@@ -712,8 +752,6 @@ class StackedConstraintKernel(_Kernel):
         return len(self.bounds)
 
     def _build_scalar(self):
-        if len(self.exponents) > _CODEGEN_TERM_LIMIT:
-            return False
         arity = len(self.params)
         numerators = [
             _polynomial_source(self.exponents, row)
