@@ -14,15 +14,21 @@ Two complementary solvers, both used by the paper:
     weights so the optimal policy's state-action preferences respect the
     safety constraint.  This is the NLP route, run through the shared
     :mod:`repro.repair` driver; the projection routes use gradient
-    fitting instead and bypass the NLP entirely.
+    fitting instead and bypass the NLP entirely.  The Q-function is
+    lowered once onto the MDP's stacked-choice arrays
+    (:class:`LoweredQ`), so every iterate costs one array value
+    iteration and the constraints carry an exact envelope gradient.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, NamedTuple, Optional, Sequence, Set
+from typing import Dict, Hashable, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from repro.checking.matrix import get_mdp_matrix
 from repro.core.costs import frobenius_cost
 from repro.learning.irl import FeatureMap
 from repro.learning.posterior_regularization import (
@@ -33,8 +39,9 @@ from repro.learning.trajectory_distribution import TrajectoryDistribution
 from repro.logic.rules import Rule, all_satisfied
 from repro.mdp.model import MDP
 from repro.mdp.policy import DeterministicPolicy
-from repro.mdp.solvers import q_values, value_iteration
+from repro.mdp.solvers import DEFAULT_MAX_ITERATIONS, q_values, value_iteration
 from repro.optimize import Constraint, Variable
+from repro.optimize.nlp import FEASIBILITY_TOLERANCE
 from repro.repair import RepairProblem, RepairResult, solve_repair
 
 State = Hashable
@@ -48,6 +55,123 @@ class QValueConstraint(NamedTuple):
     preferred: Action
     dispreferred: Action
     margin: float = 1e-3
+
+
+#: Sup-norm stop of the value iterations behind Q-constraints (the
+#: lowered NLP evaluations and the dictionary re-check alike).
+_Q_TOLERANCE = 1e-9
+
+
+class LoweredQ:
+    """``Q(s, a)`` of a linear reward ``θᵀf(s)`` as a function of θ.
+
+    Built once per repair from the MDP's stacked-choice CSR view
+    (:func:`~repro.checking.matrix.get_mdp_matrix`) and the state×feature
+    matrix Φ.  Action rewards are kept and the base MDP's state rewards
+    are replaced by Φθ: the model :meth:`RewardRepair.mdp_with` builds,
+    without building it.  The last evaluation is memoised on θ's bytes,
+    so every Q-constraint and gradient at one iterate shares one value
+    iteration.
+    """
+
+    def __init__(self, mdp: MDP, features: FeatureMap, discount: float):
+        if not 0 < discount <= 1:
+            raise ValueError("discount must be in (0, 1]")
+        matrix = get_mdp_matrix(mdp)
+        self.discount = discount
+        self.P = matrix.P
+        self.row_groups = matrix.row_groups
+        self.owner = np.repeat(
+            np.arange(matrix.num_states), np.diff(matrix.row_groups)
+        )
+        self.action_rewards = (
+            matrix.choice_rewards - matrix.state_rewards[self.owner]
+        )
+        self.phi = np.array([features(s) for s in matrix.states])
+        self._rows = {
+            (matrix.states[owner], action): row
+            for row, (owner, action) in enumerate(
+                zip(self.owner, matrix.choice_actions)
+            )
+        }
+        self._last: Optional[Tuple[bytes, list]] = None
+
+    def choice(self, state: State, action: Action) -> int:
+        """The row of the ``(state, action)`` choice."""
+        return self._rows[(state, action)]
+
+    def q(self, theta: np.ndarray) -> np.ndarray:
+        """Per-choice Q-values at θ."""
+        return self._evaluation(theta)[0]
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """``∂Q/∂θ`` at θ: one row per choice, one column per feature.
+
+        Envelope theorem: with π greedy at θ and ``c`` the action
+        rewards, ``V = (I − γP_π)⁻¹(Φθ + c_π)`` locally, so
+        ``∂V/∂θ = (I − γP_π)⁻¹Φ`` (one sparse solve, the k feature
+        columns as right-hand sides) and ``∂Q/∂θ = Φ[owner] + γ·P·∂V/∂θ``.
+        Exact wherever the greedy action is unique; needs ``discount < 1``
+        (at γ = 1, ``I − P_π`` can be singular).
+        """
+        entry = self._evaluation(theta)
+        if entry[1] is None:
+            rows = self._greedy_rows(entry[0])
+            system = sparse.identity(len(rows), format="csc") - (
+                self.discount * self.P[rows].tocsc()
+            )
+            dv = splu(system).solve(self.phi)
+            entry[1] = self.phi[self.owner] + self.discount * (self.P @ dv)
+        return entry[1]
+
+    def _evaluation(self, theta: np.ndarray) -> list:
+        """``[Q, ∂Q/∂θ or None]`` at θ, memoised on θ's bytes.
+
+        Starts solved on a thread pool share this memo; the entry is
+        swapped as one tuple, so a race costs a recomputation, never
+        another θ's values.
+        """
+        theta = np.ascontiguousarray(theta, dtype=float)
+        key = theta.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        entry = [self._value_iteration(theta), None]
+        self._last = (key, entry)
+        return entry
+
+    def _value_iteration(self, theta: np.ndarray) -> np.ndarray:
+        """Q from Jacobi value iteration, stopped as :func:`value_iteration`
+        stops: zero start, sup-norm change below the tolerance, same cap."""
+        rewards = (self.phi @ theta)[self.owner] + self.action_rewards
+        starts = self.row_groups[:-1]
+        values = np.zeros(len(starts))
+        for _ in range(DEFAULT_MAX_ITERATIONS):
+            updated = np.maximum.reduceat(
+                rewards + self.discount * (self.P @ values), starts
+            )
+            delta = np.max(np.abs(updated - values))
+            values = updated
+            if delta < _Q_TOLERANCE:
+                break
+        return rewards + self.discount * (self.P @ values)
+
+    def _greedy_rows(self, q: np.ndarray) -> np.ndarray:
+        """The row :func:`~repro.mdp.solvers.greedy_policy` picks per state.
+
+        Its tie rule, vectorised over states: walk each state's actions
+        in enumeration order, moving only to one that beats the current
+        best by more than 1e-12.
+        """
+        starts = self.row_groups[:-1]
+        counts = np.diff(self.row_groups)
+        best = starts.copy()
+        for offset in range(1, int(counts.max())):
+            live = np.flatnonzero(counts > offset)
+            rows = starts[live] + offset
+            better = q[rows] > q[best[live]] + 1e-12
+            best[live[better]] = rows[better]
+        return best
 
 
 class RewardRepairResult(RepairResult):
@@ -350,9 +474,11 @@ class RewardRepair:
 
         Definition 2's Q-route in the shared core's terms: the weight
         deltas ``d_i`` as variables, each Q-value preference as an exact
-        rational constraint (the Q-function is recomputed by value
-        iteration at every candidate θ+Δ, so the constraint is exact
-        rather than a local linearisation), ``‖Δθ‖²`` as the cost.
+        constraint, ``‖Δθ‖²`` as the cost.  Q is recomputed by value
+        iteration at every candidate θ+Δ on :class:`LoweredQ`'s arrays
+        (not a local linearisation) and, for ``discount < 1``, carries
+        its envelope gradient.  The verify hook re-checks θ′ on the
+        dictionary model.
         """
         theta = np.asarray(theta, dtype=float)
         dimension = self.features.dimension
@@ -360,42 +486,58 @@ class RewardRepair:
             Variable(f"d{i}", -delta_bound, delta_bound, initial=0.0)
             for i in range(dimension)
         ]
+        lowered = LoweredQ(self.mdp, self.features, self.discount)
 
         def theta_at(assignment: Dict[str, float]) -> np.ndarray:
             return theta + np.array(
                 [assignment[f"d{i}"] for i in range(dimension)]
             )
 
-        def q_margin(
-            assignment: Dict[str, float], spec: QValueConstraint
-        ) -> float:
-            candidate = self.mdp_with(theta_at(assignment))
+        def q_constraint(spec: QValueConstraint) -> Constraint:
+            preferred = lowered.choice(spec.state, spec.preferred)
+            dispreferred = lowered.choice(spec.state, spec.dispreferred)
+
+            def margin(assignment: Dict[str, float]) -> float:
+                q = lowered.q(theta_at(assignment))
+                return q[preferred] - q[dispreferred] - spec.margin
+
+            def gradient(assignment: Dict[str, float]) -> Dict[str, float]:
+                jacobian = lowered.jacobian(theta_at(assignment))
+                row = jacobian[preferred] - jacobian[dispreferred]
+                return {f"d{i}": float(x) for i, x in enumerate(row)}
+
+            return Constraint(
+                margin,
+                name=f"Q({spec.state},{spec.preferred})"
+                f">Q({spec.state},{spec.dispreferred})",
+                gradient=gradient if self.discount < 1 else None,
+            )
+
+        def verify(theta_after: np.ndarray) -> bool:
+            # Independent of the lowered arrays: the dictionary model,
+            # value iteration and Q-function at θ′.
+            candidate = self.mdp_with(theta_after)
             values, _ = value_iteration(
-                candidate, discount=self.discount, tolerance=1e-9
+                candidate, discount=self.discount, tolerance=_Q_TOLERANCE
             )
             q = q_values(candidate, values, discount=self.discount)
-            return (
-                q[(spec.state, spec.preferred)]
-                - q[(spec.state, spec.dispreferred)]
-                - spec.margin
-            )
+            for spec in constraints:
+                gap = (
+                    q[(spec.state, spec.preferred)]
+                    - q[(spec.state, spec.dispreferred)]
+                )
+                if gap <= 0 or gap - spec.margin < -FEASIBILITY_TOLERANCE:
+                    return False
+            return True
 
         return RepairProblem(
             name="reward-repair",
             variables=variables,
             cost=frobenius_cost,
-            constraints=[
-                Constraint(
-                    lambda v, spec=spec: q_margin(v, spec),
-                    name=f"Q({spec.state},{spec.preferred})"
-                    f">Q({spec.state},{spec.dispreferred})",
-                )
-                for spec in constraints
-            ],
-            # The margins are exact value-iteration Q-values, re-checked
-            # at the solution point by the solver's feasibility verdict;
-            # report the least-infeasible θ′ for diagnostics either way.
+            constraints=[q_constraint(spec) for spec in constraints],
+            # Report the least-infeasible θ′ for diagnostics either way.
             instantiate=theta_at,
+            verify=verify,
             instantiate_when_infeasible=True,
         )
 

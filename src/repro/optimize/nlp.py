@@ -17,7 +17,6 @@ verdict the paper's ``X = 19`` Model Repair case relies on.
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -25,13 +24,16 @@ import numpy as np
 from scipy import optimize as scipy_optimize
 
 from repro.checking.parametric import ParametricConstraint
+from repro.cpus import usable_cpus
 
 Assignment = Dict[str, float]
 
 logger = logging.getLogger(__name__)
 
 _STRICT_EPSILON = 1e-9
-_FEASIBILITY_TOLERANCE = 1e-7
+#: How far a margin (or a box bound) may be missed at a solver point
+#: that still counts as feasible.
+FEASIBILITY_TOLERANCE = 1e-7
 #: Half-width of the jitter box used for variables with an infinite bound
 #: (centred on the variable's initial value).
 _UNBOUNDED_JITTER = 1.0
@@ -49,18 +51,6 @@ _JOINT_DIMENSION_LIMIT = 64
 #: corpus, problems with several perturbation/row-sum side constraints
 #: solve faster per start even though the fused kernel itself is cheap.
 _JOINT_CONSTRAINT_LIMIT = 32
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where known).
-
-    ``os.cpu_count()`` counts the host's CPUs, so a process pinned to
-    one CPU (``taskset``, a cgroup cpuset) would still get a pool.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 class _FusedEvaluation:
@@ -181,7 +171,7 @@ class Constraint:
 
     def satisfied(self, assignment: Assignment) -> bool:
         """Whether the constraint holds within tolerance."""
-        return self.value(assignment) >= -_FEASIBILITY_TOLERANCE
+        return self.value(assignment) >= -FEASIBILITY_TOLERANCE
 
     def __repr__(self) -> str:
         return f"Constraint({self.name!r}, strict={self.strict})"
@@ -583,9 +573,9 @@ class NonlinearProgram:
         """Whether every constraint and box bound holds at a point."""
         for variable in self.variables:
             value = assignment[variable.name]
-            if value < variable.lower - _FEASIBILITY_TOLERANCE:
+            if value < variable.lower - FEASIBILITY_TOLERANCE:
                 return False
-            if value > variable.upper + _FEASIBILITY_TOLERANCE:
+            if value > variable.upper + FEASIBILITY_TOLERANCE:
                 return False
         return all(c.satisfied(assignment) for c in self.constraints)
 
@@ -631,7 +621,7 @@ class NonlinearProgram:
         upper_bounds = np.array([b[1] for b in bounds])
         order = [v.name for v in self.variables]
         if parallel is None:
-            parallel = _usable_cpus() > 1
+            parallel = usable_cpus() > 1
 
         members, stack = self._resolve_stack(stacked)
         member_ids = frozenset(id(c) for c in members)
@@ -809,7 +799,7 @@ class NonlinearProgram:
             # never misses a verdict the legacy path would find.
 
         if parallel and len(starts) > 1:
-            workers = max_workers or min(len(starts), _usable_cpus())
+            workers = max_workers or min(len(starts), usable_cpus())
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 attempts = list(pool.map(run_start, starts))
         else:

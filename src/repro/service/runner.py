@@ -57,6 +57,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.cpus import usable_cpus
 from repro.service.faults import FaultPlan, InjectedFault
 from repro.service.jobs import JobSpec, JobValidationError, job_from_dict
 from repro.service.telemetry import Telemetry, solver_counters
@@ -369,6 +370,8 @@ class BatchRunner:
     ----------
     max_workers:
         Pool size; ``0`` executes jobs inline (sequential, no pool).
+        ``None`` sizes the pool to the CPUs this process may run on
+        (its affinity mask, not the host's CPU count).
     store_dir:
         Directory of the shared persistent result store (optional).
     telemetry:
@@ -412,7 +415,7 @@ class BatchRunner:
         cache_max_entries: int = 4096,
     ):
         if max_workers is None:
-            max_workers = os.cpu_count() or 1
+            max_workers = usable_cpus()
         if max_workers < 0:
             raise ValueError("max_workers must be >= 0")
         self.max_workers = max_workers

@@ -625,9 +625,11 @@ def _int_exact_div(
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor of two polynomials.
 
-    Uses the primitive polynomial remainder sequence, recursing on the
-    number of variables.  Intermediate expression swell is bounded by a
-    size cap and an overall work budget: if either is exceeded the
+    Tries the heuristic evaluation GCD first (:func:`_heuristic_gcd`);
+    when it finds no verified divisor, falls back to the primitive
+    polynomial remainder sequence, recursing on the number of
+    variables.  The remainder sequence's expression swell is bounded by
+    a size cap and an overall work budget: if either is exceeded the
     routine gives up and returns 1 (a valid, if trivial, common
     divisor) — callers only use the GCD to *reduce* rational functions,
     so a trivial answer is safe.
@@ -642,17 +644,181 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     cached = _GCD_CACHE.get(key)
     if cached is not None:
         return cached
-    budget = _GcdBudget(units=4_000)
-    try:
-        result = _make_primitive_positive(_gcd_recursive(a, b, 0, budget))
-    except _GcdTooLarge:
-        result = Polynomial.one()
+    heuristic = _heuristic_gcd(a, b)
+    if heuristic is not None:
+        result = _make_primitive_positive(heuristic)
+    else:
+        budget = _GcdBudget(units=4_000)
+        try:
+            result = _make_primitive_positive(_gcd_recursive(a, b, 0, budget))
+        except _GcdTooLarge:
+            result = Polynomial.one()
     if len(_GCD_CACHE) >= _MEMO_LIMIT:
         _GCD_CACHE.clear()
     # The normalised GCD is symmetric in its arguments.
     _GCD_CACHE[key] = result
     _GCD_CACHE[(b, a)] = result
     return result
+
+
+# ----------------------------------------------------------------------
+# Heuristic GCD (GCDHEU, Char–Geddes–Gonnet), poly_gcd's first try
+# ----------------------------------------------------------------------
+_HEU_GCD_ATTEMPTS = 6
+# Evaluation points grow with every variable substituted (about doubling
+# in bits per degree-1 variable), so inputs in many variables would
+# reach million-digit integers.  Past this size the heuristic gives up
+# and poly_gcd falls back to the remainder sequence.  The largest point
+# a successful call needed on the random corpus chains was 46,509 bits.
+_HEU_GCD_MAX_BITS = 1 << 17
+
+
+def _heuristic_gcd(a: Polynomial, b: Polynomial):
+    """``gcd(a, b)`` by evaluation and ξ-adic reconstruction, or ``None``.
+
+    Both polynomials are cleared to primitive integer coefficients, then
+    one variable at a time is replaced by a large integer ξ until only
+    integers remain.  The integer GCD is lifted back through the
+    balanced base-ξ digits of its coefficients.  Every candidate is
+    verified by exact division of both inputs, so a returned polynomial
+    is always a true common divisor and, by the usual argument for
+    ξ > 2·(coefficient bound), the greatest one.  Intermediate sizes
+    grow with the integers' digit counts, not with a remainder
+    sequence, which is why it succeeds where the primitive PRS gives up
+    on medium-sized multivariate inputs.
+    """
+    variables = sorted(a.variables() | b.variables())
+    found = _heu_gcd(_primitive_integer_terms(a), _primitive_integer_terms(b),
+                     variables)
+    if found is None:
+        return None
+    return Polynomial({mono: Fraction(coeff) for mono, coeff in found.items()})
+
+
+def _primitive_integer_terms(poly: Polynomial) -> Dict[Monomial, int]:
+    """``poly`` scaled to coprime integer coefficients."""
+    lcm = 1
+    for coeff in poly._terms.values():
+        lcm = lcm * coeff.denominator // math.gcd(lcm, coeff.denominator)
+    terms = {mono: int(coeff * lcm) for mono, coeff in poly._terms.items()}
+    content = _int_content(terms)
+    return {mono: coeff // content for mono, coeff in terms.items()}
+
+
+def _int_content(terms: Dict[Monomial, int]) -> int:
+    content = 0
+    for coeff in terms.values():
+        content = math.gcd(content, coeff)
+    return content or 1
+
+
+def _heu_gcd(f: Dict[Monomial, int], g: Dict[Monomial, int], variables):
+    """GCD of nonzero integer term dicts over ``variables``, or ``None``."""
+    content_f = _int_content(f)
+    content_g = _int_content(g)
+    content = math.gcd(content_f, content_g)
+    if not variables:
+        return {(): content}
+    f = {mono: coeff // content_f for mono, coeff in f.items()}
+    g = {mono: coeff // content_g for mono, coeff in g.items()}
+    var, rest = variables[-1], variables[:-1]
+    norm_f = max(abs(coeff) for coeff in f.values())
+    norm_g = max(abs(coeff) for coeff in g.values())
+    bound = 2 * min(norm_f, norm_g) + 29
+    xi = max(
+        min(bound, 99 * math.isqrt(bound)),
+        2 * min(norm_f // abs(_ground_lead(f)), norm_g // abs(_ground_lead(g)))
+        + 2,
+    )
+    for _ in range(_HEU_GCD_ATTEMPTS):
+        if xi.bit_length() > _HEU_GCD_MAX_BITS:
+            return None
+        at_f = _int_evaluate(f, var, xi)
+        at_g = _int_evaluate(g, var, xi)
+        if at_f and at_g:
+            found = _heu_gcd(at_f, at_g, rest)
+            if found is None:
+                return None
+            # The GCD itself, then either cofactor, may be the one whose
+            # digits reconstruct cleanly.
+            for value, target in (
+                (found, None),
+                (_int_quotient(at_f, found), f),
+                (_int_quotient(at_g, found), g),
+            ):
+                if not value:
+                    continue
+                candidate = _int_primitive(_int_interpolate(value, var, xi))
+                if target is not None and candidate:
+                    candidate = _int_primitive(
+                        _int_quotient(target, candidate) or {}
+                    )
+                if not candidate:
+                    continue
+                if (
+                    _int_quotient(f, candidate) is not None
+                    and _int_quotient(g, candidate) is not None
+                ):
+                    return {
+                        mono: coeff * content for mono, coeff in candidate.items()
+                    }
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _ground_lead(terms: Dict[Monomial, int]) -> int:
+    """The coefficient of the lexicographically greatest monomial."""
+    varlist = sorted({var for mono in terms for var, _ in mono})
+    return terms[max(terms, key=lambda mono: _exponent_vector(mono, varlist))]
+
+
+def _int_evaluate(terms: Dict[Monomial, int], var: str, value: int):
+    """Substitute the integer ``value`` for ``var`` (the last variable)."""
+    result: Dict[Monomial, int] = {}
+    for mono, coeff in terms.items():
+        if mono and mono[-1][0] == var:
+            rest, exponent = mono[:-1], mono[-1][1]
+            coeff = coeff * value**exponent
+        else:
+            rest = mono
+        total = result.get(rest, 0) + coeff
+        if total:
+            result[rest] = total
+        else:
+            result.pop(rest, None)
+    return result
+
+
+def _int_interpolate(terms: Dict[Monomial, int], var: str, base: int):
+    """Read each coefficient as balanced base-``base`` digits in ``var``."""
+    result: Dict[Monomial, int] = {}
+    half = base // 2
+    for mono, coeff in terms.items():
+        exponent = 0
+        while coeff:
+            digit = coeff % base
+            if digit > half:
+                digit -= base
+            if digit:
+                result[mono + ((var, exponent),) if exponent else mono] = digit
+            coeff = (coeff - digit) // base
+            exponent += 1
+    return result
+
+
+def _int_primitive(terms: Dict[Monomial, int]) -> Dict[Monomial, int]:
+    if not terms:
+        return terms
+    content = _int_content(terms)
+    return {mono: coeff // content for mono, coeff in terms.items()}
+
+
+def _int_quotient(a: Dict[Monomial, int], b: Dict[Monomial, int]):
+    """``a / b`` when ``b`` divides ``a`` exactly over the integers."""
+    try:
+        return _int_exact_div(a, b)
+    except ArithmeticError:
+        return None
 
 
 class _GcdBudget:

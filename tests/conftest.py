@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from repro.learning.irl import TabularFeatureMap
 from repro.mdp import DTMC, MDP, chain_dtmc, random_dtmc, random_mdp
 
 
@@ -36,6 +37,43 @@ def pytest_sessionfinish(session, exitstatus):
                 red=True,
             )
         session.exitstatus = 1
+
+
+# ----------------------------------------------------------------------
+# Reward Repair's shortcut MDP
+# ----------------------------------------------------------------------
+@pytest.fixture
+def shortcut_mdp() -> MDP:
+    """A risky shortcut through 'danger' vs a safe detour to 'goal'."""
+    return MDP(
+        states=["start", "danger", "detour", "goal", "end"],
+        transitions={
+            "start": {
+                "shortcut": {"danger": 1.0},
+                "around": {"detour": 1.0},
+            },
+            "danger": {"go": {"goal": 1.0}},
+            "detour": {"go": {"goal": 1.0}},
+            "goal": {"go": {"end": 1.0}},
+            "end": {"go": {"end": 1.0}},
+        },
+        initial_state="start",
+        labels={"danger": {"unsafe"}, "goal": {"target"}},
+    )
+
+
+@pytest.fixture
+def shortcut_features() -> TabularFeatureMap:
+    # f = (on the risky shortcut, at the goal)
+    return TabularFeatureMap(
+        {
+            "start": [0.0, 0.0],
+            "danger": [1.0, 0.0],
+            "detour": [0.0, 0.0],
+            "goal": [0.0, 1.0],
+            "end": [0.0, 0.0],
+        }
+    )
 
 
 # ----------------------------------------------------------------------

@@ -4,44 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import QValueConstraint, RewardRepair
-from repro.learning.irl import TabularFeatureMap
 from repro.logic.ltl import LGlobally, state_atom
 from repro.logic.rules import LtlRule
-from repro.mdp import MDP
-
-
-@pytest.fixture
-def shortcut_mdp() -> MDP:
-    """A risky shortcut through 'danger' vs a safe detour to 'goal'."""
-    return MDP(
-        states=["start", "danger", "detour", "goal", "end"],
-        transitions={
-            "start": {
-                "shortcut": {"danger": 1.0},
-                "around": {"detour": 1.0},
-            },
-            "danger": {"go": {"goal": 1.0}},
-            "detour": {"go": {"goal": 1.0}},
-            "goal": {"go": {"end": 1.0}},
-            "end": {"go": {"end": 1.0}},
-        },
-        initial_state="start",
-        labels={"danger": {"unsafe"}, "goal": {"target"}},
-    )
-
-
-@pytest.fixture
-def shortcut_features() -> TabularFeatureMap:
-    # f = (on the risky shortcut, at the goal)
-    return TabularFeatureMap(
-        {
-            "start": [0.0, 0.0],
-            "danger": [1.0, 0.0],
-            "detour": [0.0, 0.0],
-            "goal": [0.0, 1.0],
-            "end": [0.0, 0.0],
-        }
-    )
 
 
 UNSAFE_THETA = np.array([0.5, 1.0])  # positive weight on the shortcut

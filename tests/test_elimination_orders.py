@@ -20,7 +20,7 @@ Covered:
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checking import CheckCache
@@ -237,6 +237,9 @@ class TestRandomizedChains:
         size=st.integers(min_value=12, max_value=20),
         seed=st.integers(min_value=0, max_value=1000),
     )
+    # A chain whose intermediate GCDs overran the remainder-sequence
+    # budget: unreduced, its elimination never finished in either order.
+    @example(size=12, seed=962)
     def test_orders_agree_on_random_chains(self, size, seed):
         model, formula, assignment = _spec("random", size, seed=seed)
         points = _evaluation_points(assignment)

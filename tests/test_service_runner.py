@@ -72,6 +72,26 @@ class TestHappyPath:
         assert report.all_ok
 
 
+class TestPoolSizing:
+    def test_default_pool_follows_affinity_mask(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert BatchRunner().max_workers == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        assert BatchRunner().max_workers == 2
+        assert BatchRunner(max_workers=0).max_workers == 0
+
+    def test_shares_the_solver_helper(self):
+        import repro.optimize.nlp as nlp
+        import repro.service.runner as runner
+
+        assert runner.usable_cpus is nlp.usable_cpus
+
+
 class TestInvalidPayloads:
     """Malformed job payloads must terminate as structured records —
     never rip through a worker, never burn the retry budget."""

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.symbolic import Polynomial, bareiss_determinant, poly_gcd
-from repro.symbolic.polynomial import _exponent_vector
+from repro.symbolic.polynomial import (
+    _exponent_vector,
+    _heuristic_gcd,
+    _make_primitive_positive,
+)
 
 from conftest import polynomials, small_fractions
 
@@ -166,6 +170,20 @@ class TestGcd:
         gcd = poly_gcd(a, b)
         assert gcd.is_constant()
 
+    def test_heuristic_finds_multivariate_factor(self):
+        # Rational coefficients, five variables, a two-factor common
+        # divisor: the evaluation GCD must recover it exactly.
+        p, q, r, s, t = (Polynomial.variable(name) for name in "pqrst")
+        common = (p * q - Fraction(3, 7) * r + 2) * (s * s - t + Fraction(1, 10))
+        a = common * (p + q * t - 5)
+        b = common * (r * s + Fraction(2, 3))
+        assert _heuristic_gcd(a, b) is not None
+        assert poly_gcd(a, b) == _make_primitive_positive(common)
+
+    def test_heuristic_on_coprime_inputs(self):
+        found = _heuristic_gcd(X * Y + 1, X - Y)
+        assert found is not None and found.is_constant()
+
 
 class TestBareissDeterminant:
     def test_identity(self):
@@ -245,6 +263,15 @@ class TestPropertyBased:
         # (a²)' = 2·a·a'
         square = a * a
         assert square.derivative("x") == 2 * a * a.derivative("x")
+
+    @given(polynomials(), polynomials(), polynomials())
+    @settings(max_examples=30, deadline=None)
+    def test_gcd_keeps_a_common_factor(self, a, b, common):
+        if a.is_zero() or b.is_zero() or common.is_zero():
+            return
+        gcd = poly_gcd(a * common, b * common)
+        _, remainder = gcd.divmod(_make_primitive_positive(common))
+        assert remainder.is_zero()
 
     @given(polynomials(), polynomials())
     @settings(max_examples=30, deadline=None)
