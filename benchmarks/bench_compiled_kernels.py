@@ -90,14 +90,20 @@ def ladder_repair(rungs: int = 6) -> ModelRepair:
 def legacy_program(problem) -> NonlinearProgram:
     """The pre-kernel solver setup: symbolic margins, no jacobians.
 
-    Parametric constraints go through the pure-symbolic margin
-    (``compiled=False``) and the analytic hooks on the extra row
-    constraints are stripped, so SLSQP finite-differences everything —
-    exactly the seed behaviour this PR replaces.
+    Parametric constraints go through the pure-symbolic
+    :meth:`ParametricConstraint.margin` and the analytic hooks on the
+    extra row constraints are stripped, so SLSQP finite-differences
+    everything — the behaviour before compiled kernels.  Names,
+    strictness and safety shifts are those the engine gives each
+    constraint.
     """
+    reduced = problem.parametric_constraints()
+    adapted = problem.solver_constraints()
+    margins = [pc.margin for pc in reduced]
+    margins += [c.margin for c in adapted[len(reduced):]]
     constraints = [
-        Constraint(c.margin, c.name, c.strict, c.shift)
-        for c in problem.solver_constraints(compiled=False)
+        Constraint(margin, c.name, c.strict, c.shift)
+        for margin, c in zip(margins, adapted)
     ]
     return NonlinearProgram(
         variables=problem.variables,

@@ -1,7 +1,8 @@
 """The standing scalability matrix: every repair flavour × the corpus.
 
-Runs the fused (stacked-kernel) and unfused (per-constraint dispatch)
-repair pipelines over every :mod:`repro.corpus` family at several sizes
+Runs the fused (stacked-kernel) repair pipeline and its unfused
+reference (the same problem with every constraint on its own callbacks)
+over every :mod:`repro.corpus` family at several sizes
 and records, per matrix point: model size, NLP variable count, wall
 clock for both paths, their kernel dispatch ratios, and verdict
 identity.  Results go to ``BENCH_scalability_matrix.json`` next to this
@@ -17,6 +18,7 @@ dispatch-ratio collapse rather than wall clock, so the CI smoke job
 stays robust on noisy shared runners.
 """
 
+import copy
 import json
 import statistics
 import time
@@ -25,6 +27,7 @@ from pathlib import Path
 from conftest import report
 from repro.casestudies import wsn
 from repro.corpus import FAMILIES
+from repro.optimize.nlp import Constraint
 from repro.repair.engine import solve_repair
 from repro.symbolic.compile import kernel_stats
 
@@ -43,21 +46,55 @@ def save_results(section: str, rows) -> None:
     RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def per_constraint_problem(problem):
+    """``problem`` with its parametric constraints handed to the NLP as
+    plain per-constraint entries.
+
+    The closed forms are reduced (through the cache), adapted exactly as
+    the engine adapts them and stripped of their stack spec, so
+    ``solve_repair`` builds no fused kernel and SLSQP calls every
+    constraint's own margin and gradient — the one-dispatch-per-row path
+    that constraints without a spec take.
+    """
+    stripped = copy.copy(problem)
+    stripped.constraints = [
+        Constraint(
+            margin=c.margin,
+            name=c.name,
+            strict=c.strict,
+            shift=c.shift,
+            gradient=c.gradient,
+            batch_margin=c.batch_margin,
+        )
+        for c in problem.solver_constraints()
+    ]
+    stripped.parametric = []
+    stripped._reduced = None
+    return stripped
+
+
 def timed_solve(make_problem, fused: bool, repeats: int):
     """Median wall clock + dispatch ratio for ``solve_repair`` runs.
 
     The problem is rebuilt per run (cheap) while the CheckCache stays
     warm (the elimination is priced outside the timing, as in the other
     NLP benchmarks); the kernel-counter delta around the run yields the
-    dispatch ratio.
+    dispatch ratio.  ``fused=False`` solves the
+    :func:`per_constraint_problem` copy, made inside the timing because
+    the fused arm reduces its closed forms there too.
     """
-    outcome = solve_repair(make_problem(), fused=fused)  # warm the cache
+    def solve(problem):
+        return solve_repair(
+            problem if fused else per_constraint_problem(problem)
+        )
+
+    outcome = solve(make_problem())  # warm the cache
     times = []
     before = dict(kernel_stats())
     for _ in range(repeats):
         problem = make_problem()
         start = time.perf_counter()
-        outcome = solve_repair(problem, fused=fused)
+        outcome = solve(problem)
         times.append(time.perf_counter() - start)
     after = kernel_stats()
     dispatches = after["dispatches"] - before["dispatches"]

@@ -337,7 +337,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     from repro.service import BatchRunner, Telemetry, load_jobs
 
-    jobs = load_jobs(args.jobs)
+    try:
+        jobs = load_jobs(args.jobs)
+    except (OSError, ValueError) as error:
+        # A missing or unreadable file, bad JSON, an unknown kind or a
+        # duplicate job_id (JobValidationError is a ValueError).
+        print(f"cannot load jobs from {args.jobs}: {error}", file=sys.stderr)
+        return 2
     telemetry = Telemetry(path=args.telemetry)
     runner = BatchRunner(
         max_workers=args.workers,

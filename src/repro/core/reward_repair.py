@@ -127,7 +127,7 @@ class LoweredQ:
     def _evaluation(self, theta: np.ndarray) -> list:
         """``[Q, ∂Q/∂θ or None]`` at θ, memoised on θ's bytes.
 
-        Starts solved on a thread pool share this memo; the entry is
+        Threads solving the same problem share this memo; the entry is
         swapped as one tuple, so a race costs a recomputation, never
         another θ's values.
         """

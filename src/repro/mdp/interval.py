@@ -50,6 +50,9 @@ _VI_DIVERGENCE_LIMIT = 1e15
 #: A row switches strategy only when its Bellman gain beats this
 #: fraction of the value scale, so float noise cannot cycle strategies.
 _SWITCH_GAIN = 1e-12
+#: Free mass a greedy fill leaves below this is float drift from the
+#: running sums, not probability: it must not open a successor edge.
+_FILL_DRIFT = 1e-14
 
 
 class VIReport:
@@ -155,8 +158,10 @@ class _IntervalRows:
         slack = (self.slack if slack is None else slack)[order]
         before = np.cumsum(slack) - slack
         before -= before[self.indptr[:-1]][self.row_of]
+        remaining = self.free[self.row_of] - before
+        remaining[remaining < _FILL_DRIFT] = 0.0
         probs = self.lower.copy()
-        probs[order] += np.clip(self.free[self.row_of] - before, 0.0, slack)
+        probs[order] += np.clip(remaining, 0.0, slack)
         return probs
 
     def matrix(self, probs: np.ndarray) -> sparse.csr_matrix:

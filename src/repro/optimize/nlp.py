@@ -17,14 +17,12 @@ verdict the paper's ``X = 19`` Model Repair case relies on.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize as scipy_optimize
 
 from repro.checking.parametric import ParametricConstraint
-from repro.cpus import usable_cpus
 
 Assignment = Dict[str, float]
 
@@ -34,6 +32,8 @@ _STRICT_EPSILON = 1e-9
 #: How far a margin (or a box bound) may be missed at a solver point
 #: that still counts as feasible.
 FEASIBILITY_TOLERANCE = 1e-7
+#: SLSQP iteration cap of every local solve.
+_MAX_ITERATIONS = 500
 #: Half-width of the jitter box used for variables with an infinite bound
 #: (centred on the variable's initial value).
 _UNBOUNDED_JITTER = 1.0
@@ -129,12 +129,8 @@ class Constraint:
     for a rational ``f``.  The solver fuses every stackable constraint
     into one :class:`~repro.symbolic.compile.StackedConstraintKernel`,
     so SLSQP sees a single vector-valued constraint instead of N python
-    callbacks.  ``stack_kernel`` (optional) is a zero-argument provider
-    of a pre-built one-row kernel for this spec (e.g. the cached
-    :meth:`ParametricConstraint.stacked`), letting the solver skip
-    recompilation.  The per-constraint ``margin``/``gradient`` path
-    stays behind as the fallback for non-stackable constraints and for
-    ``stacked=False`` solves.
+    callbacks.  Constraints without a spec (reward Q-values, row sums)
+    keep their own per-constraint ``margin``/``gradient`` entry.
     """
 
     def __init__(
@@ -146,7 +142,6 @@ class Constraint:
         gradient: Optional[Callable[[Assignment], Mapping[str, float]]] = None,
         batch_margin: Optional[Callable] = None,
         stack_spec: Optional[Tuple] = None,
-        stack_kernel: Optional[Callable] = None,
     ):
         self.margin = margin
         self.name = name
@@ -155,7 +150,6 @@ class Constraint:
         self.gradient = gradient
         self.batch_margin = batch_margin
         self.stack_spec = stack_spec
-        self.stack_kernel = stack_kernel
 
     def _total_shift(self) -> float:
         return self.shift + (_STRICT_EPSILON if self.strict else 0.0)
@@ -181,36 +175,24 @@ def constraint_from_parametric(
     parametric: ParametricConstraint,
     name: str = "pctl",
     safety_margin: float = 1e-6,
-    compiled: bool = True,
 ) -> Constraint:
     """Adapt a parametric model-checking constraint ``f(v) ⋈ b``.
 
     ``safety_margin`` keeps solutions strictly inside the feasible set;
     without it, boundary optima can fail the exact concrete re-check by
     a rounding hair.  The margin is relative to the bound's magnitude.
-
-    With ``compiled=True`` (default) the margin, its analytic gradient
-    and the batch screener all run through the constraint's numpy
-    kernel (:meth:`ParametricConstraint.compiled`); ``compiled=False``
-    keeps the pure-symbolic evaluation path with finite-difference
-    jacobians — the pre-kernel behaviour, retained for the
-    compiled-vs-symbolic benchmarks.
+    The margin, its analytic gradient and the batch screener all run
+    through the constraint's numpy kernel
+    (:meth:`ParametricConstraint.compiled`).
     """
-    shift = safety_margin * max(1.0, abs(parametric.bound))
-    strict = parametric.comparison in ("<", ">")
-    if not compiled:
-        return Constraint(
-            margin=parametric.margin, name=name, strict=strict, shift=shift
-        )
     return Constraint(
         margin=parametric.fast_margin,
         name=name,
-        strict=strict,
-        shift=shift,
+        strict=parametric.comparison in ("<", ">"),
+        shift=safety_margin * max(1.0, abs(parametric.bound)),
         gradient=parametric.margin_gradient,
         batch_margin=parametric.margin_batch,
         stack_spec=(parametric.function, parametric._sign, parametric.bound),
-        stack_kernel=parametric.stacked,
     )
 
 
@@ -397,34 +379,32 @@ class NonlinearProgram:
     # Stacked-kernel plumbing
     # ------------------------------------------------------------------
     def _auto_stack(self, members: List[Constraint]):
-        """Build (and memoize on the program) a fused kernel for ``members``."""
+        """Build (and memoize on the program) a fused kernel for ``members``.
+
+        A one-row stack shares its function's cached compiled arrays, so
+        nothing is lowered twice.
+        """
         from repro.symbolic.compile import StackedConstraintKernel
 
         key = tuple(id(constraint) for constraint in members)
         cached = getattr(self, "_stack_cache", None)
         if cached is not None and cached[0] == key:
             return cached[1]
-        if len(members) == 1 and members[0].stack_kernel is not None:
-            kernel = members[0].stack_kernel()
-        else:
-            kernel = StackedConstraintKernel(
-                [constraint.stack_spec for constraint in members]
-            )
+        kernel = StackedConstraintKernel(
+            [constraint.stack_spec for constraint in members]
+        )
         self._stack_cache = (key, kernel)
         return kernel
 
     def _resolve_stack(self, stacked):
         """``(members, kernel)`` for the fused path, or ``([], None)``.
 
-        ``stacked=False`` disables fusion (the pre-fusion per-constraint
-        path); a :class:`StackedConstraintKernel` is used as given (the
-        repair engine passes the CheckCache-memoized one); ``None``
-        builds a kernel from the stackable constraints' specs.  Kernels
-        whose parameters are not all program variables fall back to the
+        A :class:`StackedConstraintKernel` is used as given (the repair
+        engine passes the CheckCache-memoized one); ``None`` builds a
+        kernel from the stackable constraints' specs.  Kernels whose
+        parameters are not all program variables fall back to the
         per-constraint path rather than mis-evaluate.
         """
-        if stacked is False:
-            return [], None
         members = [c for c in self.constraints if c.stack_spec is not None]
         if not members:
             return [], None
@@ -452,7 +432,6 @@ class NonlinearProgram:
         others: List[Constraint],
         bounds,
         order: List[str],
-        max_iterations: int,
     ):
         """One block-diagonal SLSQP solve over every start at once.
 
@@ -553,7 +532,7 @@ class NonlinearProgram:
                 method="SLSQP",
                 bounds=joint_bounds,
                 constraints=joint_constraints,
-                options={"maxiter": max_iterations, "ftol": 1e-12},
+                options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-12},
             )
         except (ValueError, KeyError, ZeroDivisionError, OverflowError):
             return None
@@ -586,10 +565,6 @@ class NonlinearProgram:
         self,
         extra_starts: int = 8,
         seed: int = 0,
-        method: str = "SLSQP",
-        max_iterations: int = 500,
-        parallel: Optional[bool] = None,
-        max_workers: Optional[int] = None,
         stacked=None,
     ) -> OptimizationResult:
         """Multi-start local solve; feasibility is re-verified exactly.
@@ -598,30 +573,23 @@ class NonlinearProgram:
         the returned point passes :meth:`is_feasible` — scipy sometimes
         reports success on slightly-violated constraints.
 
-        ``stacked`` selects the fused evaluation path: ``None`` (default)
-        builds a :class:`~repro.symbolic.compile.StackedConstraintKernel`
-        over every stackable constraint, a pre-built kernel is reused as
-        given, and ``False`` forces the per-constraint legacy path.  With
-        a stack, SLSQP's constraint and jacobian callbacks read one
-        memoized fused evaluation per iterate, and — for small enough
-        ``starts × variables`` — all starts are solved as one
-        block-diagonal joint program (then the winner is re-verified
-        exactly and polished with a single warm local solve, falling back
-        to the per-start loop if no block lands feasible, so the fused
-        path can never report infeasible where the loop would not).
-
-        ``parallel=None`` enables the thread pool only when this process
-        may run on more than one CPU (its affinity mask, not the host's
-        CPU count); the fused paths make per-start threading pure
-        overhead on a single core.  The pool keeps start order, so the
-        result does not depend on it.
+        Every stackable constraint is fused into one
+        :class:`~repro.symbolic.compile.StackedConstraintKernel`:
+        ``stacked=None`` (default) builds it from their specs, and a
+        pre-built kernel is used as given.  SLSQP's constraint and
+        jacobian callbacks read one memoized fused evaluation per
+        iterate, and — for small enough ``starts × variables`` — all
+        starts are solved as one block-diagonal joint program (then the
+        winner is re-verified exactly and polished with a single warm
+        local solve, falling back to the per-start loop if no block
+        lands feasible, so the joint solve can never report infeasible
+        where the loop would not).  The per-start loop runs serially,
+        in start order.
         """
         bounds = [(v.lower, v.upper) for v in self.variables]
         lower_bounds = np.array([b[0] for b in bounds])
         upper_bounds = np.array([b[1] for b in bounds])
         order = [v.name for v in self.variables]
-        if parallel is None:
-            parallel = usable_cpus() > 1
 
         members, stack = self._resolve_stack(stacked)
         member_ids = frozenset(id(c) for c in members)
@@ -689,10 +657,10 @@ class NonlinearProgram:
                     objective_vector,
                     start,
                     jac=objective_jacobian,
-                    method=method,
+                    method="SLSQP",
                     bounds=bounds,
                     constraints=scipy_constraints,
-                    options={"maxiter": max_iterations, "ftol": 1e-12},
+                    options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-12},
                 )
             except (ValueError, ZeroDivisionError, OverflowError):
                 return None, {"starts_failed": 1}
@@ -710,7 +678,7 @@ class NonlinearProgram:
         # Oversample the random draws when any constraint can be
         # batch-screened, then keep only the most promising candidates —
         # scored with one vectorized kernel pass instead of a per-point
-        # solve (or the old per-point thread-pool evaluation).
+        # solve.
         can_screen = stack is not None or any(
             c.batch_margin is not None for c in self.constraints
         )
@@ -744,7 +712,6 @@ class NonlinearProgram:
         # small problems.
         joint_eligible = (
             stack is not None
-            and method == "SLSQP"
             and self.objective_gradient is not None
             and len(starts) > 1
             and len(starts) * len(order) <= _JOINT_DIMENSION_LIMIT
@@ -757,8 +724,7 @@ class NonlinearProgram:
         )
         if joint_eligible:
             joint = self._run_joint(
-                starts, stack, columns, shifts, others,
-                bounds, order, max_iterations,
+                starts, stack, columns, shifts, others, bounds, order
             )
             if joint is not None:
                 assignments, joint_stats, converged = joint
@@ -795,15 +761,10 @@ class NonlinearProgram:
                         solver_stats=solver_stats,
                     )
             # No feasible block (or the joint solve blew up): fall
-            # through to the exact per-start loop so the fused path
-            # never misses a verdict the legacy path would find.
+            # through to the exact per-start loop so the joint solve
+            # never misses a verdict the loop would find.
 
-        if parallel and len(starts) > 1:
-            workers = max_workers or min(len(starts), usable_cpus())
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                attempts = list(pool.map(run_start, starts))
-        else:
-            attempts = [run_start(start) for start in starts]
+        attempts = [run_start(start) for start in starts]
 
         for _, stats in attempts:
             merge_stats(stats)

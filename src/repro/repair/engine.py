@@ -80,16 +80,13 @@ def solve_repair(
     problem: RepairProblem,
     extra_starts: int = 8,
     seed: int = 0,
-    fused: bool = True,
 ) -> EngineOutcome:
     """Run the full repair pipeline on a declarative problem.
 
-    With ``fused=True`` (default) the NLP solve reads every parametric
-    constraint through one CheckCache-memoized
+    The NLP solve reads every parametric constraint through one
+    CheckCache-memoized
     :class:`~repro.symbolic.compile.StackedConstraintKernel` (warm store
-    = zero compilations) and auto-selects thread parallelism;
-    ``fused=False`` reproduces the pre-fusion per-constraint dispatch
-    path, kept for benchmarking and as a behavioural reference.
+    = zero compilations).
     """
     cache = get_cache(problem.cache)
     stats_before = cache.stats()
@@ -119,8 +116,7 @@ def solve_repair(
     solved = program.solve(
         extra_starts=extra_starts,
         seed=seed,
-        stacked=problem.stacked_kernel() if fused else False,
-        parallel=None if fused else True,
+        stacked=problem.stacked_kernel(),
     )
     if not solved.feasible:
         artifact = (

@@ -166,19 +166,13 @@ class RepairProblem:
             ]
         return list(self._reduced)
 
-    def solver_constraints(self, compiled: bool = True) -> List[Constraint]:
-        """All NLP constraints: adapted parametric ones + extras.
-
-        ``compiled=False`` adapts the parametric constraints through the
-        pure-symbolic margin (no kernels, no analytic jacobians) — the
-        pre-kernel behaviour, kept for before/after benchmarking.
-        """
+    def solver_constraints(self) -> List[Constraint]:
+        """All NLP constraints: adapted parametric ones + extras."""
         adapted = [
             constraint_from_parametric(
                 reduced,
                 name=f"{self.name}-pctl-{index}",
                 safety_margin=self.safety_margin,
-                compiled=compiled,
             )
             for index, reduced in enumerate(self.parametric_constraints())
         ]

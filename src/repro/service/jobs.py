@@ -1,8 +1,8 @@
 """Typed batch jobs with a JSON round-trip.
 
 A *job* is one unit of decision-procedure work — check a property, or
-run one of the repair flavours (model, data, reward, rate, robust) —
-described entirely by plain data, so a batch is a file::
+run one of the repair flavours (model, data, reward, rate, robust,
+cegis) — described entirely by plain data, so a batch is a file::
 
     {"jobs": [
       {"kind": "check", "job_id": "wsn-100",
@@ -11,19 +11,17 @@ described entirely by plain data, so a batch is a file::
       {"kind": "model-repair", "job_id": "wsn-40", ...}
     ]}
 
-Each spec knows how to serialise itself (:meth:`JobSpec.to_dict`), how
-to rebuild from the serialised form (:func:`job_from_dict`), how to
-execute against the library (:meth:`JobSpec.run`, dispatching to the
-picklable :mod:`repro.core.api` entry points), and how to fingerprint
+Each kind is one row of :data:`JOB_TABLE`: its :mod:`repro.core.api`
+entry point, then its fields.  :class:`JobSpec` reads the row to build
+a spec, serialise it (:meth:`JobSpec.to_dict`), rebuild it
+(:func:`job_from_dict`), run it (:meth:`JobSpec.run`) and fingerprint
 its content (:meth:`JobSpec.fingerprint`) for the result store.
 
-Models travel in the :func:`repro.io.save_model` payload shape (via
-:func:`repro.io.json_io.model_to_payload`, which also covers CTMCs),
-trace datasets as ``{"groups": [{"name", "droppable", "traces"}]}``,
-feature maps as explicit state→vector tables — everything JSON,
-everything picklable.  Repair jobs return the canonical
-``RepairResult.to_dict()`` payload, so every repair kind shares the
-``status`` / ``feasible`` / ``assignment`` / ``solver_stats`` shape.
+Models travel as :func:`repro.io.json_io.model_to_payload` payloads,
+trace datasets as ``{"groups": [{"name", "droppable", "traces"}]}`` —
+everything JSON, everything picklable.  Repair jobs return the canonical
+``RepairResult.to_dict()`` payload (``status`` / ``feasible`` /
+``assignment`` / ``solver_stats``).
 """
 
 from __future__ import annotations
@@ -32,29 +30,19 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Type, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Type, Union
 
 from repro.io.json_io import model_from_payload, model_to_payload
 from repro.mdp.model import DTMC
-
-#: Registry ``kind -> spec class``, filled by ``_register``.
-JOB_KINDS: Dict[str, Type["JobSpec"]] = {}
 
 
 class JobValidationError(ValueError):
     """A job payload that cannot be turned into a runnable spec.
 
-    Raised by :func:`job_from_dict` for unknown kinds, missing fields
-    and non-finite numbers.  Subclasses :class:`ValueError`, so the
-    HTTP façade's 400 path catches it unchanged; the batch runner maps
-    it to a structured ``failure: "invalid"`` record instead of letting
-    it rip through a worker.
+    Raised for unknown kinds, missing fields, non-finite numbers and
+    duplicate ``job_id`` values.  A :class:`ValueError`, so the HTTP
+    façade answers 400; the batch runner records ``failure: "invalid"``.
     """
-
-
-def _register(cls: Type["JobSpec"]) -> Type["JobSpec"]:
-    JOB_KINDS[cls.kind] = cls
-    return cls
 
 
 # ----------------------------------------------------------------------
@@ -62,19 +50,14 @@ def _register(cls: Type["JobSpec"]) -> Type["JobSpec"]:
 # ----------------------------------------------------------------------
 def dataset_to_payload(dataset) -> Dict:
     """JSON payload of a :class:`~repro.data.dataset.TraceDataset`."""
-    return {
-        "groups": [
-            {
-                "name": group.name,
-                "droppable": group.droppable,
-                "traces": [
-                    [str(state) for state in trace.states()]
-                    for trace in group.traces
-                ],
-            }
-            for group in dataset.groups.values()
-        ]
-    }
+    return {"groups": [
+        {
+            "name": group.name,
+            "droppable": group.droppable,
+            "traces": [[str(s) for s in trace.states()] for trace in group.traces],
+        }
+        for group in dataset.groups.values()
+    ]}
 
 
 def dataset_from_payload(payload: Mapping):
@@ -82,38 +65,157 @@ def dataset_from_payload(payload: Mapping):
     from repro.data.dataset import TraceDataset, TraceGroup
     from repro.mdp.trajectory import Trajectory
 
-    return TraceDataset(
-        [
-            TraceGroup(
-                entry["name"],
-                [Trajectory.from_states(states) for states in entry["traces"]],
-                droppable=entry.get("droppable", True),
-            )
-            for entry in payload["groups"]
-        ]
-    )
+    return TraceDataset([
+        TraceGroup(
+            entry["name"],
+            [Trajectory.from_states(states) for states in entry["traces"]],
+            droppable=entry.get("droppable", True),
+        )
+        for entry in payload["groups"]
+    ])
+
+
+# ----------------------------------------------------------------------
+# The job-kind table
+# ----------------------------------------------------------------------
+#: Default of a field that every payload must carry.
+_REQUIRED = object()
+
+
+def _same(value):
+    return value
+
+
+def _optional(convert: Callable) -> Callable:
+    """``convert``, letting ``None`` through unchanged."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _strings(values) -> List[str]:
+    return [str(value) for value in values]
+
+
+def _field(name: str, default=_REQUIRED, coerce=_same, decode=_same) -> Tuple:
+    """``(name, default, coerce, decode)``: ``coerce`` makes the JSON-ready
+    attribute, ``decode`` the argument the entry point takes."""
+    return (name, default, coerce, decode)
+
+
+_MODEL = _field("model", coerce=dict, decode=model_from_payload)
+_FORMULA = _field("formula", coerce=str)
+_ENGINE = _field("engine", "sparse")
+_COST = _field("cost", "frobenius")
+_CONTROLLABLE_STATES = _field("controllable_states", None, _optional(list))
+_MAX_PERTURBATION = _field("max_perturbation", None)
+_STARTS_6 = _field("extra_starts", 6, int)
+_STARTS_8 = _field("extra_starts", 8, int)
+_SEED = _field("seed", 0, int)
+
+#: ``kind -> (repro.core.api entry point, whether it takes cache=,
+#: fields in constructor order)``.  The first field is the artifact
+#: (model, dataset or MDP payload) and is passed positionally; every
+#: other field is passed by its name.
+JOB_TABLE: Dict[str, Tuple[str, bool, Tuple[Tuple, ...]]] = {
+    "check": ("check_model", True, (
+        _MODEL, _FORMULA, _ENGINE, _field("smc_epsilon", 0.02, float),
+        _field("smc_delta", 0.05, float), _field("smc_samples", 4000, int),
+    )),
+    "model-repair": ("repair_model", True, (
+        _MODEL, _FORMULA, _CONTROLLABLE_STATES, _MAX_PERTURBATION, _COST,
+        _ENGINE, _STARTS_8, _SEED,
+    )),
+    "data-repair": ("repair_data", True, (
+        _field("dataset", coerce=dict, decode=dataset_from_payload),
+        _FORMULA, _field("initial_state"),
+        _field("states", None, _optional(list)),
+        _field(
+            "labels", None,
+            _optional(lambda table: {s: sorted(p) for s, p in table.items()}),
+            _optional(lambda table: {s: set(p) for s, p in table.items()}),
+        ),
+        _field("state_rewards", None, lambda table: dict(table) if table else None),
+        # Deliberately below repair_data's default of 1 - 1e-6.
+        _field("max_drop", 0.9, float), _field("mode", "drop"),
+        _field("max_augment", 4.0, float), _ENGINE, _STARTS_8, _SEED,
+    )),
+    "reward-repair": ("repair_reward", False, (
+        _field("mdp", coerce=dict, decode=model_from_payload),
+        _field("features", coerce=lambda table: {
+            s: [float(x) for x in row] for s, row in table.items()
+        }),
+        _field("theta", coerce=lambda theta: [float(x) for x in theta]),
+        _field("constraints", coerce=lambda rows: [dict(row) for row in rows]),
+        _field("discount", 0.95, float), _field("delta_bound", 2.0, float),
+        _STARTS_6, _SEED,
+    )),
+    "rate-repair": ("repair_rates", True, (
+        _MODEL, _field("targets", coerce=_strings), _field("bound", coerce=float),
+        _field("controllable", None, _optional(_strings)),
+        _field("max_speedup", 2.0, float), _STARTS_6, _SEED,
+    )),
+    "robust-repair": ("repair_robust", True, (
+        _MODEL, _FORMULA, _field("epsilon", 0.01, float),
+        _CONTROLLABLE_STATES, _MAX_PERTURBATION, _COST, _ENGINE,
+        _field("max_outer_iterations", 5, int),
+        _field("vi_max_iterations", None, _optional(int)), _STARTS_8, _SEED,
+    )),
+    "cegis-repair": ("repair_cegis", True, (
+        _MODEL, _FORMULA, _CONTROLLABLE_STATES, _MAX_PERTURBATION, _COST,
+        _ENGINE, _field("max_iterations", 10, int),
+        _field("max_counterexample_paths", 10_000, int),
+        _field("max_expansions", 200_000, int), _STARTS_8, _SEED,
+    )),
+}
 
 
 # ----------------------------------------------------------------------
 # Specs
 # ----------------------------------------------------------------------
 class JobSpec:
-    """Base class for batch job specifications.
+    """A batch job of one kind, driven by the kind's :data:`JOB_TABLE` row.
 
-    Subclasses set :attr:`kind`, implement :meth:`payload` (the
-    kind-specific JSON fields), :meth:`from_payload` and :meth:`run`.
+    The constructor takes ``job_id`` and then the row's fields, in order,
+    positionally or by keyword; each becomes an attribute of the same
+    name, coerced to its JSON-ready form.
     """
 
     kind: str = ""
 
-    def __init__(self, job_id: str):
+    def __init__(self, job_id: str, *args, **kwargs):
         if not job_id:
             raise ValueError("job needs a non-empty job_id")
         self.job_id = str(job_id)
+        fields = JOB_TABLE[self.kind][2]
+        names = [field[0] for field in fields]
+        if len(args) > len(names):
+            raise TypeError(f"{self.kind} job takes at most {len(names)} fields")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{self.kind} job: bad or repeated field {name!r}")
+            values[name] = value
+        for name, default, coerce, _ in fields:
+            value = values.get(name, default)
+            if value is _REQUIRED:
+                raise TypeError(f"{self.kind} job is missing field {name!r}")
+            setattr(self, name, coerce(value))
+
+    @classmethod
+    def for_model(cls, job_id: str, model, *args, **kwargs) -> "JobSpec":
+        """Build from an in-memory model (DTMC, MDP or CTMC)."""
+        return cls(job_id, model_to_payload(model), *args, **kwargs)
+
+    for_mdp = for_model
+
+    @classmethod
+    def for_dataset(cls, job_id: str, dataset, *args, **kwargs) -> "JobSpec":
+        """Build from an in-memory :class:`TraceDataset`."""
+        return cls(job_id, dataset_to_payload(dataset), *args, **kwargs)
 
     # -- serialisation --------------------------------------------------
     def payload(self) -> Dict:
-        raise NotImplementedError
+        """The kind-specific JSON fields, in constructor order."""
+        return {name: getattr(self, name) for name, *_ in JOB_TABLE[self.kind][2]}
 
     def to_dict(self) -> Dict:
         """JSON-ready form; inverse of :func:`job_from_dict`."""
@@ -121,7 +223,12 @@ class JobSpec:
 
     @classmethod
     def from_payload(cls, job_id: str, payload: Mapping) -> "JobSpec":
-        raise NotImplementedError
+        """Rebuild from :meth:`payload`: a missing required field raises
+        ``KeyError``, a missing optional one takes its default."""
+        return cls(job_id, **{
+            name: payload[name] if default is _REQUIRED else payload.get(name, default)
+            for name, default, _, _ in JOB_TABLE[cls.kind][2]
+        })
 
     def fingerprint(self) -> str:
         """SHA-256 of the canonical content (``job_id`` excluded).
@@ -130,21 +237,27 @@ class JobSpec:
         is the key under which the result store deduplicates whole-job
         results.
         """
-        canonical = json.dumps(
-            {"kind": self.kind, **self.payload()}, sort_keys=True
-        )
+        canonical = json.dumps({"kind": self.kind, **self.payload()}, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # -- execution ------------------------------------------------------
     def run(self, cache=None) -> Dict:
-        """Execute the job; returns a JSON-ready result dict."""
-        raise NotImplementedError
+        """Run the kind's :mod:`repro.core.api` entry point; returns the
+        result's JSON-ready ``to_dict()``."""
+        from repro.core import api
+
+        entry, takes_cache, fields = JOB_TABLE[self.kind]
+        (artifact, _, _, decode_artifact), *rest = fields
+        kwargs = {name: decode(getattr(self, name)) for name, _, _, decode in rest}
+        if takes_cache:
+            kwargs["cache"] = cache
+        result = getattr(api, entry)(decode_artifact(getattr(self, artifact)), **kwargs)
+        return result.to_dict()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.job_id!r})"
 
 
-@_register
 class CheckJob(JobSpec):
     """Model-check ``formula`` on a model (DTMC or MDP).
 
@@ -155,59 +268,12 @@ class CheckJob(JobSpec):
 
     kind = "check"
 
-    def __init__(
-        self,
-        job_id: str,
-        model: Mapping,
-        formula: str,
-        engine: str = "sparse",
-        smc_epsilon: float = 0.02,
-        smc_delta: float = 0.05,
-        smc_samples: int = 4000,
-    ):
-        super().__init__(job_id)
-        self.model = dict(model)
-        self.formula = str(formula)
-        self.engine = engine
-        self.smc_epsilon = float(smc_epsilon)
-        self.smc_delta = float(smc_delta)
-        self.smc_samples = int(smc_samples)
-
-    @staticmethod
-    def for_model(job_id: str, model, formula: str, **kwargs) -> "CheckJob":
-        """Build from an in-memory model object."""
-        return CheckJob(job_id, model_to_payload(model), formula, **kwargs)
-
-    def payload(self) -> Dict:
-        return {
-            "model": self.model,
-            "formula": self.formula,
-            "engine": self.engine,
-            "smc_epsilon": self.smc_epsilon,
-            "smc_delta": self.smc_delta,
-            "smc_samples": self.smc_samples,
-        }
-
-    @classmethod
-    def from_payload(cls, job_id: str, payload: Mapping) -> "CheckJob":
-        return cls(
-            job_id,
-            payload["model"],
-            payload["formula"],
-            engine=payload.get("engine", "sparse"),
-            smc_epsilon=payload.get("smc_epsilon", 0.02),
-            smc_delta=payload.get("smc_delta", 0.05),
-            smc_samples=payload.get("smc_samples", 4000),
-        )
-
     def run(self, cache=None) -> Dict:
         from repro.core.api import check_model
 
         result = check_model(
-            model_from_payload(self.model),
-            self.formula,
-            engine=self.engine,
-            cache=cache,
+            model_from_payload(self.model), self.formula,
+            engine=self.engine, cache=cache,
         )
         return {
             "holds": bool(result.holds),
@@ -231,583 +297,78 @@ class CheckJob(JobSpec):
             raise TypeError("statistical fallback needs a DTMC model")
         checker = StatisticalModelChecker(model, seed=seed)
         outcome = checker.check(
-            parse_pctl(self.formula),
-            epsilon=self.smc_epsilon,
-            delta=self.smc_delta,
-            reward_samples=self.smc_samples,
+            parse_pctl(self.formula), epsilon=self.smc_epsilon,
+            delta=self.smc_delta, reward_samples=self.smc_samples,
         )
         return {
-            "holds": bool(outcome.holds),
-            "value": float(outcome.estimate),
-            "method": "statistical",
-            "samples": int(outcome.samples),
+            "holds": bool(outcome.holds), "value": float(outcome.estimate),
+            "method": "statistical", "samples": int(outcome.samples),
             "undecided_rate": float(checker.undecided_rate),
         }
 
 
-@_register
 class ModelRepairJob(JobSpec):
     """Edge-wise Model Repair of a chain toward ``formula``."""
 
     kind = "model-repair"
 
-    def __init__(
-        self,
-        job_id: str,
-        model: Mapping,
-        formula: str,
-        controllable_states: Optional[Sequence[str]] = None,
-        max_perturbation: Optional[float] = None,
-        cost: str = "frobenius",
-        engine: str = "sparse",
-        extra_starts: int = 8,
-        seed: int = 0,
-    ):
-        super().__init__(job_id)
-        self.model = dict(model)
-        self.formula = str(formula)
-        self.controllable_states = (
-            list(controllable_states) if controllable_states is not None else None
-        )
-        self.max_perturbation = max_perturbation
-        self.cost = cost
-        self.engine = engine
-        self.extra_starts = int(extra_starts)
-        self.seed = int(seed)
 
-    @staticmethod
-    def for_model(job_id: str, model, formula: str, **kwargs) -> "ModelRepairJob":
-        """Build from an in-memory chain."""
-        return ModelRepairJob(job_id, model_to_payload(model), formula, **kwargs)
-
-    def payload(self) -> Dict:
-        return {
-            "model": self.model,
-            "formula": self.formula,
-            "controllable_states": self.controllable_states,
-            "max_perturbation": self.max_perturbation,
-            "cost": self.cost,
-            "engine": self.engine,
-            "extra_starts": self.extra_starts,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, job_id: str, payload: Mapping) -> "ModelRepairJob":
-        return cls(
-            job_id,
-            payload["model"],
-            payload["formula"],
-            controllable_states=payload.get("controllable_states"),
-            max_perturbation=payload.get("max_perturbation"),
-            cost=payload.get("cost", "frobenius"),
-            engine=payload.get("engine", "sparse"),
-            extra_starts=payload.get("extra_starts", 8),
-            seed=payload.get("seed", 0),
-        )
-
-    def run(self, cache=None) -> Dict:
-        from repro.core.api import repair_model
-
-        result = repair_model(
-            model_from_payload(self.model),
-            self.formula,
-            controllable_states=self.controllable_states,
-            max_perturbation=self.max_perturbation,
-            cost=self.cost,
-            engine=self.engine,
-            extra_starts=self.extra_starts,
-            seed=self.seed,
-            cache=cache,
-        )
-        return result.to_dict()
-
-
-@_register
 class DataRepairJob(JobSpec):
     """Data Repair: drop/augment traces until the re-learned chain meets φ."""
 
     kind = "data-repair"
 
-    def __init__(
-        self,
-        job_id: str,
-        dataset: Mapping,
-        formula: str,
-        initial_state: str,
-        states: Optional[Sequence[str]] = None,
-        labels: Optional[Mapping[str, Sequence[str]]] = None,
-        state_rewards: Optional[Mapping[str, float]] = None,
-        max_drop: float = 0.9,
-        mode: str = "drop",
-        max_augment: float = 4.0,
-        engine: str = "sparse",
-        extra_starts: int = 8,
-        seed: int = 0,
-    ):
-        super().__init__(job_id)
-        self.dataset = dict(dataset)
-        self.formula = str(formula)
-        self.initial_state = initial_state
-        self.states = list(states) if states is not None else None
-        self.labels = (
-            {s: sorted(props) for s, props in labels.items()}
-            if labels is not None
-            else None
-        )
-        self.state_rewards = dict(state_rewards) if state_rewards else None
-        self.max_drop = float(max_drop)
-        self.mode = mode
-        self.max_augment = float(max_augment)
-        self.engine = engine
-        self.extra_starts = int(extra_starts)
-        self.seed = int(seed)
 
-    @staticmethod
-    def for_dataset(
-        job_id: str, dataset, formula: str, initial_state: str, **kwargs
-    ) -> "DataRepairJob":
-        """Build from an in-memory :class:`TraceDataset`."""
-        return DataRepairJob(
-            job_id, dataset_to_payload(dataset), formula, initial_state, **kwargs
-        )
-
-    def payload(self) -> Dict:
-        return {
-            "dataset": self.dataset,
-            "formula": self.formula,
-            "initial_state": self.initial_state,
-            "states": self.states,
-            "labels": self.labels,
-            "state_rewards": self.state_rewards,
-            "max_drop": self.max_drop,
-            "mode": self.mode,
-            "max_augment": self.max_augment,
-            "engine": self.engine,
-            "extra_starts": self.extra_starts,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, job_id: str, payload: Mapping) -> "DataRepairJob":
-        return cls(
-            job_id,
-            payload["dataset"],
-            payload["formula"],
-            payload["initial_state"],
-            states=payload.get("states"),
-            labels=payload.get("labels"),
-            state_rewards=payload.get("state_rewards"),
-            max_drop=payload.get("max_drop", 0.9),
-            mode=payload.get("mode", "drop"),
-            max_augment=payload.get("max_augment", 4.0),
-            engine=payload.get("engine", "sparse"),
-            extra_starts=payload.get("extra_starts", 8),
-            seed=payload.get("seed", 0),
-        )
-
-    def run(self, cache=None) -> Dict:
-        from repro.core.api import repair_data
-
-        result = repair_data(
-            dataset_from_payload(self.dataset),
-            self.formula,
-            initial_state=self.initial_state,
-            states=self.states,
-            labels=(
-                {s: set(props) for s, props in self.labels.items()}
-                if self.labels is not None
-                else None
-            ),
-            state_rewards=self.state_rewards,
-            max_drop=self.max_drop,
-            mode=self.mode,
-            max_augment=self.max_augment,
-            engine=self.engine,
-            extra_starts=self.extra_starts,
-            seed=self.seed,
-            cache=cache,
-        )
-        return result.to_dict()
-
-
-@_register
 class RewardRepairJob(JobSpec):
     """Q-value-constrained Reward Repair on an MDP with tabular features."""
 
     kind = "reward-repair"
 
-    def __init__(
-        self,
-        job_id: str,
-        mdp: Mapping,
-        features: Mapping[str, Sequence[float]],
-        theta: Sequence[float],
-        constraints: Sequence[Mapping],
-        discount: float = 0.95,
-        delta_bound: float = 2.0,
-        extra_starts: int = 6,
-        seed: int = 0,
-    ):
-        super().__init__(job_id)
-        self.mdp = dict(mdp)
-        self.features = {s: [float(x) for x in row] for s, row in features.items()}
-        self.theta = [float(x) for x in theta]
-        self.constraints = [dict(entry) for entry in constraints]
-        self.discount = float(discount)
-        self.delta_bound = float(delta_bound)
-        self.extra_starts = int(extra_starts)
-        self.seed = int(seed)
 
-    @staticmethod
-    def for_mdp(
-        job_id: str, mdp, features, theta, constraints, **kwargs
-    ) -> "RewardRepairJob":
-        """Build from an in-memory MDP."""
-        return RewardRepairJob(
-            job_id, model_to_payload(mdp), features, theta, constraints, **kwargs
-        )
-
-    def payload(self) -> Dict:
-        return {
-            "mdp": self.mdp,
-            "features": self.features,
-            "theta": self.theta,
-            "constraints": self.constraints,
-            "discount": self.discount,
-            "delta_bound": self.delta_bound,
-            "extra_starts": self.extra_starts,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, job_id: str, payload: Mapping) -> "RewardRepairJob":
-        return cls(
-            job_id,
-            payload["mdp"],
-            payload["features"],
-            payload["theta"],
-            payload["constraints"],
-            discount=payload.get("discount", 0.95),
-            delta_bound=payload.get("delta_bound", 2.0),
-            extra_starts=payload.get("extra_starts", 6),
-            seed=payload.get("seed", 0),
-        )
-
-    def run(self, cache=None) -> Dict:
-        from repro.core.api import repair_reward
-
-        result = repair_reward(
-            model_from_payload(self.mdp),
-            self.features,
-            self.theta,
-            self.constraints,
-            discount=self.discount,
-            delta_bound=self.delta_bound,
-            extra_starts=self.extra_starts,
-            seed=self.seed,
-        )
-        return result.to_dict()
-
-
-@_register
 class RateRepairJob(JobSpec):
     """CTMC rate repair: scale rates until the expected hitting time fits."""
 
     kind = "rate-repair"
 
-    def __init__(
-        self,
-        job_id: str,
-        model: Mapping,
-        targets: Sequence[str],
-        bound: float,
-        controllable: Optional[Sequence[str]] = None,
-        max_speedup: float = 2.0,
-        extra_starts: int = 6,
-        seed: int = 0,
-    ):
-        super().__init__(job_id)
-        self.model = dict(model)
-        self.targets = [str(t) for t in targets]
-        self.bound = float(bound)
-        self.controllable = (
-            [str(s) for s in controllable] if controllable is not None else None
-        )
-        self.max_speedup = float(max_speedup)
-        self.extra_starts = int(extra_starts)
-        self.seed = int(seed)
 
-    @staticmethod
-    def for_model(
-        job_id: str, ctmc, targets, bound: float, **kwargs
-    ) -> "RateRepairJob":
-        """Build from an in-memory CTMC."""
-        return RateRepairJob(
-            job_id, model_to_payload(ctmc), list(targets), bound, **kwargs
-        )
-
-    def payload(self) -> Dict:
-        return {
-            "model": self.model,
-            "targets": self.targets,
-            "bound": self.bound,
-            "controllable": self.controllable,
-            "max_speedup": self.max_speedup,
-            "extra_starts": self.extra_starts,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, job_id: str, payload: Mapping) -> "RateRepairJob":
-        return cls(
-            job_id,
-            payload["model"],
-            payload["targets"],
-            payload["bound"],
-            controllable=payload.get("controllable"),
-            max_speedup=payload.get("max_speedup", 2.0),
-            extra_starts=payload.get("extra_starts", 6),
-            seed=payload.get("seed", 0),
-        )
-
-    def run(self, cache=None) -> Dict:
-        from repro.core.api import repair_rates
-
-        result = repair_rates(
-            model_from_payload(self.model),
-            self.targets,
-            self.bound,
-            controllable=self.controllable,
-            max_speedup=self.max_speedup,
-            extra_starts=self.extra_starts,
-            seed=self.seed,
-            cache=cache,
-        )
-        return result.to_dict()
-
-
-@_register
 class RobustRepairJob(JobSpec):
     """Robust Model Repair certified over a ±``epsilon`` interval ball.
 
     ``vi_max_iterations`` caps the robust value iteration; a capped or
     divergent run degrades to the nominal check and the result carries
-    ``robust: false`` (surfaced by the runner's ``robust_fallbacks``
-    telemetry counter) instead of failing the job.
+    ``robust: false`` (the runner's ``robust_fallbacks`` counter)
+    instead of failing the job.
     """
 
     kind = "robust-repair"
 
-    def __init__(
-        self,
-        job_id: str,
-        model: Mapping,
-        formula: str,
-        epsilon: float = 0.01,
-        controllable_states: Optional[Sequence[str]] = None,
-        max_perturbation: Optional[float] = None,
-        cost: str = "frobenius",
-        engine: str = "sparse",
-        max_outer_iterations: int = 5,
-        vi_max_iterations: Optional[int] = None,
-        extra_starts: int = 8,
-        seed: int = 0,
-    ):
-        super().__init__(job_id)
-        self.model = dict(model)
-        self.formula = str(formula)
-        self.epsilon = float(epsilon)
-        self.controllable_states = (
-            list(controllable_states) if controllable_states is not None else None
-        )
-        self.max_perturbation = max_perturbation
-        self.cost = cost
-        self.engine = engine
-        self.max_outer_iterations = int(max_outer_iterations)
-        self.vi_max_iterations = (
-            None if vi_max_iterations is None else int(vi_max_iterations)
-        )
-        self.extra_starts = int(extra_starts)
-        self.seed = int(seed)
 
-    @staticmethod
-    def for_model(
-        job_id: str, model, formula: str, **kwargs
-    ) -> "RobustRepairJob":
-        """Build from an in-memory chain."""
-        return RobustRepairJob(
-            job_id, model_to_payload(model), formula, **kwargs
-        )
-
-    def payload(self) -> Dict:
-        return {
-            "model": self.model,
-            "formula": self.formula,
-            "epsilon": self.epsilon,
-            "controllable_states": self.controllable_states,
-            "max_perturbation": self.max_perturbation,
-            "cost": self.cost,
-            "engine": self.engine,
-            "max_outer_iterations": self.max_outer_iterations,
-            "vi_max_iterations": self.vi_max_iterations,
-            "extra_starts": self.extra_starts,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, job_id: str, payload: Mapping) -> "RobustRepairJob":
-        return cls(
-            job_id,
-            payload["model"],
-            payload["formula"],
-            epsilon=payload.get("epsilon", 0.01),
-            controllable_states=payload.get("controllable_states"),
-            max_perturbation=payload.get("max_perturbation"),
-            cost=payload.get("cost", "frobenius"),
-            engine=payload.get("engine", "sparse"),
-            max_outer_iterations=payload.get("max_outer_iterations", 5),
-            vi_max_iterations=payload.get("vi_max_iterations"),
-            extra_starts=payload.get("extra_starts", 8),
-            seed=payload.get("seed", 0),
-        )
-
-    def run(self, cache=None) -> Dict:
-        from repro.core.api import repair_robust
-
-        result = repair_robust(
-            model_from_payload(self.model),
-            self.formula,
-            epsilon=self.epsilon,
-            controllable_states=self.controllable_states,
-            max_perturbation=self.max_perturbation,
-            cost=self.cost,
-            engine=self.engine,
-            max_outer_iterations=self.max_outer_iterations,
-            vi_max_iterations=self.vi_max_iterations,
-            extra_starts=self.extra_starts,
-            seed=self.seed,
-            cache=cache,
-        )
-        return result.to_dict()
-
-
-@_register
 class CegisRepairJob(JobSpec):
     """Counterexample-guided Model Repair (the CEGIS loop).
 
-    Instead of one global state elimination, the loop grows a working
-    set of constraints localized to counterexample-touched subchains;
-    the result's ``iterations`` / ``constraints_added`` /
+    The result's ``iterations`` / ``constraints_added`` /
     ``counterexample_states`` fields feed the runner's summed
     ``cegis_*`` telemetry counters.
     """
 
     kind = "cegis-repair"
 
-    def __init__(
-        self,
-        job_id: str,
-        model: Mapping,
-        formula: str,
-        controllable_states: Optional[Sequence[str]] = None,
-        max_perturbation: Optional[float] = None,
-        cost: str = "frobenius",
-        engine: str = "sparse",
-        max_iterations: int = 10,
-        max_counterexample_paths: int = 10_000,
-        max_expansions: int = 200_000,
-        extra_starts: int = 8,
-        seed: int = 0,
-    ):
-        super().__init__(job_id)
-        self.model = dict(model)
-        self.formula = str(formula)
-        self.controllable_states = (
-            list(controllable_states) if controllable_states is not None else None
-        )
-        self.max_perturbation = max_perturbation
-        self.cost = cost
-        self.engine = engine
-        self.max_iterations = int(max_iterations)
-        self.max_counterexample_paths = int(max_counterexample_paths)
-        self.max_expansions = int(max_expansions)
-        self.extra_starts = int(extra_starts)
-        self.seed = int(seed)
 
-    @staticmethod
-    def for_model(
-        job_id: str, model, formula: str, **kwargs
-    ) -> "CegisRepairJob":
-        """Build from an in-memory chain."""
-        return CegisRepairJob(
-            job_id, model_to_payload(model), formula, **kwargs
-        )
-
-    def payload(self) -> Dict:
-        return {
-            "model": self.model,
-            "formula": self.formula,
-            "controllable_states": self.controllable_states,
-            "max_perturbation": self.max_perturbation,
-            "cost": self.cost,
-            "engine": self.engine,
-            "max_iterations": self.max_iterations,
-            "max_counterexample_paths": self.max_counterexample_paths,
-            "max_expansions": self.max_expansions,
-            "extra_starts": self.extra_starts,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_payload(cls, job_id: str, payload: Mapping) -> "CegisRepairJob":
-        return cls(
-            job_id,
-            payload["model"],
-            payload["formula"],
-            controllable_states=payload.get("controllable_states"),
-            max_perturbation=payload.get("max_perturbation"),
-            cost=payload.get("cost", "frobenius"),
-            engine=payload.get("engine", "sparse"),
-            max_iterations=payload.get("max_iterations", 10),
-            max_counterexample_paths=payload.get(
-                "max_counterexample_paths", 10_000
-            ),
-            max_expansions=payload.get("max_expansions", 200_000),
-            extra_starts=payload.get("extra_starts", 8),
-            seed=payload.get("seed", 0),
-        )
-
-    def run(self, cache=None) -> Dict:
-        from repro.core.api import repair_cegis
-
-        result = repair_cegis(
-            model_from_payload(self.model),
-            self.formula,
-            controllable_states=self.controllable_states,
-            max_perturbation=self.max_perturbation,
-            cost=self.cost,
-            engine=self.engine,
-            max_iterations=self.max_iterations,
-            max_counterexample_paths=self.max_counterexample_paths,
-            max_expansions=self.max_expansions,
-            extra_starts=self.extra_starts,
-            seed=self.seed,
-            cache=cache,
-        )
-        return result.to_dict()
+#: Registry ``kind -> spec class``: one named class per table row, so
+#: specs pickle by name and callers can ``isinstance`` them.
+JOB_KINDS: Dict[str, Type[JobSpec]] = {
+    cls.kind: cls
+    for cls in (CheckJob, ModelRepairJob, DataRepairJob, RewardRepairJob,
+                RateRepairJob, RobustRepairJob, CegisRepairJob)
+}
 
 
 # ----------------------------------------------------------------------
 # Files
 # ----------------------------------------------------------------------
 def _ensure_finite(value, where: str) -> None:
-    """Reject NaN/Infinity anywhere in a job payload.
-
-    ``json.loads`` happily decodes the non-standard ``NaN`` /
-    ``Infinity`` tokens, and a NaN bound or transition probability
-    poisons every comparison downstream — fail loudly at the door.
-    """
+    """Reject NaN/Infinity anywhere in a job payload: ``json.loads``
+    decodes those tokens, and a NaN bound poisons every comparison."""
     if isinstance(value, bool):
         return
     if isinstance(value, (int, float)):
@@ -830,9 +391,8 @@ def job_from_dict(payload: Mapping) -> JobSpec:
     ``KeyError``/``TypeError`` from deep inside a spec constructor.
     """
     if not isinstance(payload, Mapping):
-        raise JobValidationError(
-            f"job entry must be an object, got {type(payload).__name__}"
-        )
+        kind = type(payload).__name__
+        raise JobValidationError(f"job entry must be an object, got {kind}")
     kind = payload.get("kind")
     if kind not in JOB_KINDS:
         raise JobValidationError(
@@ -848,9 +408,7 @@ def job_from_dict(payload: Mapping) -> JobSpec:
     except JobValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise JobValidationError(
-            f"bad {kind} job {job_id!r}: {exc}"
-        ) from exc
+        raise JobValidationError(f"bad {kind} job {job_id!r}: {exc}") from exc
 
 
 def save_jobs(jobs: Sequence[JobSpec], path: Union[str, Path]) -> None:
@@ -872,7 +430,7 @@ def load_jobs_payload(payload: Union[Mapping, Sequence]) -> List[JobSpec]:
     seen = set()
     for job in jobs:
         if job.job_id in seen:
-            raise ValueError(f"duplicate job_id {job.job_id!r} in batch")
+            raise JobValidationError(f"duplicate job_id {job.job_id!r} in batch")
         seen.add(job.job_id)
     return jobs
 

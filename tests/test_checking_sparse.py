@@ -509,17 +509,3 @@ class TestStartPointsWithInfiniteBounds:
         starts = program._start_points(extra_starts=16, seed=1)
         jittered = np.array([start[0] for start in starts[2:]])
         assert (np.abs(jittered - 10.0) <= 1.0 + 1e-12).all()
-
-    def test_parallel_matches_sequential(self):
-        from repro.optimize.nlp import Constraint, NonlinearProgram, Variable
-
-        program = NonlinearProgram(
-            variables=[Variable("x", -1, 1), Variable("y", -1, 1)],
-            objective=lambda v: v["x"] ** 2 + v["y"] ** 2,
-            constraints=[Constraint(lambda v: v["x"] + v["y"] - 1.0)],
-        )
-        threaded = program.solve(parallel=True)
-        sequential = program.solve(parallel=False)
-        assert threaded.feasible and sequential.feasible
-        assert threaded.assignment == sequential.assignment
-        assert threaded.objective_value == sequential.objective_value

@@ -120,6 +120,37 @@ class TestBatch:
         assert code == 1
         assert "failed-after-retries" in capsys.readouterr().out
 
+    def bad_jobs_file(self, tmp_path, case):
+        import json
+
+        from repro.service.jobs import CheckJob
+
+        path = tmp_path / "jobs.json"
+        if case == "missing-file":
+            return path, "No such file"
+        job = CheckJob.for_model(
+            "c", chain_dtmc(4, forward_probability=0.5), 'P>=0.2 [ F "goal" ]'
+        ).to_dict()
+        if case == "unknown-kind":
+            entries, expected = [dict(job, kind="petri-net")], "unknown job kind"
+        else:
+            entries, expected = [job, job], "duplicate job_id 'c'"
+        path.write_text(json.dumps({"jobs": entries}))
+        return path, expected
+
+    @pytest.mark.parametrize(
+        "case", ["unknown-kind", "duplicate-job-id", "missing-file"]
+    )
+    def test_bad_jobs_file_is_one_line_and_exit_two(self, tmp_path, capsys, case):
+        path, expected = self.bad_jobs_file(tmp_path, case)
+        code = main(["batch", str(path), "--workers", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert expected in lines[0]
+
 
 class TestModelRepair:
     def test_repair_writes_output(self, chain_file, tmp_path, capsys):

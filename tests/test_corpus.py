@@ -142,14 +142,3 @@ class TestCorpusRepairs:
         outcome = solve_repair(FAMILIES["refuel"].repair(8).problem())
         assert outcome.status == "repaired"
         assert outcome.verified
-
-    def test_fused_and_unfused_agree_on_a_family(self):
-        problem = FAMILIES["drone"].repair(8).problem()
-        fused = solve_repair(problem, fused=True)
-        unfused = solve_repair(
-            FAMILIES["drone"].repair(8).problem(), fused=False
-        )
-        assert fused.status == unfused.status == "repaired"
-        assert fused.objective_value == pytest.approx(
-            unfused.objective_value, rel=1e-6
-        )

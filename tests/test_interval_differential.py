@@ -21,7 +21,7 @@ value under the dense concrete checker.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import check_model
@@ -180,6 +180,9 @@ def _assert_witness(imc, values, maximise, formula):
     maximise=st.booleans(),
     until=st.booleans(),
 )
+# Float drift in nature's greedy fill once left ~3e-17 of mass on a
+# goal edge, so the minimising witness reached the goal surely.
+@example(size=3, density=0.6, seed=94, epsilon=0.09375, maximise=False, until=False)
 @settings(max_examples=60, deadline=None)
 def test_reachability_matches_oracle(size, density, seed, epsilon, maximise, until):
     imc, targets = _interval_chain(size, density, seed, epsilon, until)

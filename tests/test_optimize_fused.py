@@ -1,22 +1,27 @@
-"""Fused NLP solve path: stacked kernels vs the per-constraint ladder.
+"""Fused NLP solve path: stacked kernels vs the per-constraint entries.
 
 ``NonlinearProgram.solve`` must give the same verdicts and (up to solver
-tolerance) the same optima whether it runs the fused stacked-kernel path
-(the default for compiled parametric constraints), an explicitly
-provided kernel, or the legacy per-constraint callbacks
-(``stacked=False``) — the fused path is a pure evaluation strategy, not
-a different optimisation problem.  The cache/service layers ride on the
-same guarantee: a warm store must reuse stacked kernels rather than
-recompile, and the dispatch savings must reach telemetry.
+tolerance) the same optima whether it fuses the stackable constraints
+into one kernel (the default, and the repair engine's path) or reads
+each constraint through its own callbacks.  The per-constraint
+reference is the same program with every constraint re-wrapped without
+its ``stack_spec`` — the path constraints without a spec (reward
+Q-values, row sums) always take — so the fused path is a pure
+evaluation strategy, not a different optimisation problem.  The
+cache/service layers ride on the same guarantee: a warm store must
+reuse stacked kernels rather than recompile, and the dispatch savings
+must reach telemetry.
 """
 
 import pytest
 
+from repro.casestudies import wsn
 from repro.checking.cache import CheckCache
 from repro.checking.parametric import ParametricConstraint
 from repro.corpus import FAMILIES
 from repro.mdp import chain_dtmc
 from repro.optimize.nlp import (
+    Constraint,
     NonlinearProgram,
     Variable,
     constraint_from_parametric,
@@ -49,36 +54,120 @@ def ring_program():
     )
 
 
+def unreachable_program():
+    """x ∈ [0, 1] s.t. x ≥ 2: infeasible on every path."""
+    return NonlinearProgram(
+        variables=[Variable("x", 0.0, 1.0, initial=0.5)],
+        objective=lambda v: v["x"] ** 2,
+        objective_gradient=lambda v: {"x": 2 * v["x"]},
+        constraints=[
+            constraint_from_parametric(
+                ParametricConstraint(
+                    RationalFunction(X, Polynomial.one()), ">=", 2.0
+                )
+            )
+        ],
+    )
+
+
+def per_constraint(program):
+    """The same program with every constraint stripped of its stack spec."""
+    return NonlinearProgram(
+        variables=program.variables,
+        objective=program.objective,
+        objective_gradient=program.objective_gradient,
+        constraints=[
+            Constraint(
+                margin=c.margin,
+                name=c.name,
+                strict=c.strict,
+                shift=c.shift,
+                gradient=c.gradient,
+                batch_margin=c.batch_margin,
+            )
+            for c in program.constraints
+        ],
+    )
+
+
+def engine_program(problem):
+    """The program :func:`solve_repair` builds for ``problem``."""
+    return NonlinearProgram(
+        variables=problem.variables,
+        objective=problem.cost,
+        objective_gradient=problem.cost_gradient,
+        constraints=problem.solver_constraints(),
+    )
+
+
+def wsn_data_problem():
+    dataset = wsn.generate_observation_dataset(episodes=400, seed=7)
+    return wsn.data_repair_problem(
+        dataset, wsn.DEFAULT_DATA_REPAIR_BOUND
+    ).problem()
+
+
+#: Differential cases: two hand-built programs, every corpus family at
+#: its smallest size, and the paper's WSN Model Repair at X=40 (E2,
+#: repaired) and X=19 (E3, infeasible) plus its Data Repair (E4).
+CASES = {
+    "ring": ring_program,
+    "unreachable": unreachable_program,
+    **{
+        f"{name}@{family.sizes[0]}": (
+            lambda family=family: family.repair(family.sizes[0]).problem()
+        )
+        for name, family in sorted(FAMILIES.items())
+    },
+    "wsn-E2": lambda: wsn.model_repair_problem(40).problem(),
+    "wsn-E3": lambda: wsn.model_repair_problem(19).problem(),
+    "wsn-E4": wsn_data_problem,
+}
+
+
 class TestFusedSolveEquivalence:
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_per_constraint_reference(self, case):
+        subject = CASES[case]()
+        if isinstance(subject, NonlinearProgram):
+            program, kernel = subject, None
+        else:
+            program, kernel = engine_program(subject), subject.stacked_kernel()
+        before = kernel_stats()["dispatches"]
+        fused = program.solve(stacked=kernel)
+        middle = kernel_stats()["dispatches"]
+        reference = per_constraint(program).solve()
+        after = kernel_stats()["dispatches"]
+        assert fused.feasible == reference.feasible
+        assert fused.objective_value == pytest.approx(
+            reference.objective_value, rel=1e-6
+        )
+        assert middle - before < after - middle
+        if not isinstance(subject, NonlinearProgram):
+            verdict = "repaired" if reference.feasible else "infeasible"
+            assert solve_repair(subject).status == verdict
+
     def test_fused_matches_legacy_path(self):
         fused = ring_program().solve(seed=1)
-        legacy = ring_program().solve(seed=1, stacked=False)
+        legacy = per_constraint(ring_program()).solve(seed=1)
         assert fused.feasible and legacy.feasible
         assert fused.objective_value == pytest.approx(
             legacy.objective_value, rel=1e-6
         )
 
+    def test_fused_dispatches_fewer_kernel_calls(self):
+        before = dict(kernel_stats())
+        ring_program().solve(seed=2)
+        mid = dict(kernel_stats())
+        per_constraint(ring_program()).solve(seed=2)
+        after = kernel_stats()
+        fused_dispatches = mid["dispatches"] - before["dispatches"]
+        legacy_dispatches = after["dispatches"] - mid["dispatches"]
+        assert fused_dispatches < legacy_dispatches
+
     def test_joint_path_engages_for_eligible_programs(self):
         result = ring_program().solve(seed=1)
         assert result.solver_stats.get("joint_solves", 0) == 1
-
-    def test_infeasible_agrees_with_legacy(self):
-        function = RationalFunction(X, Polynomial.one())
-
-        def build():
-            return NonlinearProgram(
-                variables=[Variable("x", 0.0, 1.0, initial=0.5)],
-                objective=lambda v: v["x"] ** 2,
-                objective_gradient=lambda v: {"x": 2 * v["x"]},
-                constraints=[
-                    constraint_from_parametric(
-                        ParametricConstraint(function, ">=", 2.0)
-                    )
-                ],
-            )
-
-        assert not build().solve(seed=0).feasible
-        assert not build().solve(seed=0, stacked=False).feasible
 
     def test_explicit_kernel_size_mismatch_rejected(self):
         program = ring_program()
@@ -98,17 +187,7 @@ class TestFusedSolveEquivalence:
         )
         program = ring_program()
         result = program.solve(stacked=foreign)
-        assert result.feasible  # silently solved on the legacy path
-
-    def test_fused_dispatches_fewer_kernel_calls(self):
-        before = dict(kernel_stats())
-        ring_program().solve(seed=2)
-        mid = dict(kernel_stats())
-        ring_program().solve(seed=2, stacked=False)
-        after = kernel_stats()
-        fused_dispatches = mid["dispatches"] - before["dispatches"]
-        legacy_dispatches = after["dispatches"] - mid["dispatches"]
-        assert fused_dispatches < legacy_dispatches
+        assert result.feasible  # silently solved per constraint
 
 
 class TestStackedKernelCache:
@@ -196,21 +275,3 @@ class TestSolveRepairFusedFlag:
         )
         assert outcome.status == "repaired"
         assert outcome.verified
-
-    def test_fused_false_gives_identical_verdict(self):
-        from repro.core.model_repair import ModelRepair
-        from repro.logic import parse_pctl
-
-        chain = chain_dtmc(5, forward_probability=0.5)
-
-        def problem():
-            return ModelRepair.for_chain(
-                chain, parse_pctl('R<=6 [ F "goal" ]'), engine="sparse"
-            ).problem()
-
-        fused = solve_repair(problem(), fused=True)
-        unfused = solve_repair(problem(), fused=False)
-        assert fused.status == unfused.status == "repaired"
-        assert fused.objective_value == pytest.approx(
-            unfused.objective_value, rel=1e-6
-        )

@@ -144,57 +144,3 @@ class TestParametricAdapter:
         assert result.feasible
         assert result.assignment["x"] == pytest.approx(0.25, abs=1e-3)
 
-
-class TestThreadPoolDecision:
-    """``parallel=None`` follows the CPUs the process may run on."""
-
-    @staticmethod
-    def program():
-        return NonlinearProgram(
-            variables=[Variable("x", -1, 1), Variable("y", -1, 1)],
-            objective=lambda v: v["x"] ** 2 + v["y"] ** 2,
-            constraints=[Constraint(lambda v: v["x"] + v["y"] - 1.0)],
-        )
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """Record every thread pool the solver opens."""
-        import repro.optimize.nlp as nlp
-
-        opened = []
-        real = nlp.ThreadPoolExecutor
-
-        def recording(*args, **kwargs):
-            opened.append(kwargs.get("max_workers"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(nlp, "ThreadPoolExecutor", recording)
-        return opened
-
-    def test_pinned_process_solves_without_a_pool(self, monkeypatch, pools):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        pinned = self.program().solve()
-        assert pools == []
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-        )
-        pooled = self.program().solve()
-        assert pools == [2]
-        assert pooled.assignment == pinned.assignment
-        assert pooled.objective_value == pinned.objective_value
-
-    def test_without_affinity_api_falls_back_to_cpu_count(
-        self, monkeypatch, pools
-    ):
-        import os
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert self.program().solve().feasible
-        assert pools == []
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert self.program().solve().feasible
-        assert pools == [3]

@@ -1,6 +1,7 @@
 """Job specs: JSON round-trip, fingerprints, and execution."""
 
 import json
+import pickle
 
 import pytest
 
@@ -109,6 +110,24 @@ class TestRoundTrip:
         assert clone.epsilon == 0.02
         assert clone.vi_max_iterations == 1000
 
+    def test_label_sets_serialise_sorted(self, noisy_dataset):
+        job = DataRepairJob.for_dataset(
+            "d", noisy_dataset, 'R<=2 [ F "goal" ]', "a",
+            labels={"b": {"z", "goal", "m"}}, state_rewards={},
+        )
+        assert job.labels == {"b": ["goal", "m", "z"]}
+        assert job.state_rewards is None
+
+    def test_constructor_checks_its_fields(self, sluggish_chain):
+        with pytest.raises(TypeError, match="bogus"):
+            CheckJob.for_model("c", sluggish_chain, "f", bogus=1)
+        with pytest.raises(TypeError, match="formula"):
+            CheckJob.for_model("c", sluggish_chain, "f", formula="g")
+        with pytest.raises(TypeError, match="missing field 'formula'"):
+            CheckJob.for_model("c", sluggish_chain)
+        with pytest.raises(TypeError, match="at most"):
+            RateRepairJob("r", {}, ["t"], 1.0, None, 2.0, 6, 0, "extra")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown job kind"):
             job_from_dict({"kind": "nope", "job_id": "x"})
@@ -210,6 +229,33 @@ class TestRegistry:
             clone = job_from_dict(payload)
             assert type(clone) is type(job)
             assert clone.to_dict() == job.to_dict()
+            assert clone.fingerprint() == job.fingerprint()
+
+    #: ``fingerprint()`` of each example job.  Result stores key whole-job
+    #: results by it, so a change silently orphans every stored result;
+    #: it hashes canonical JSON, so it does not depend on PYTHONHASHSEED.
+    PINNED_FINGERPRINTS = {
+        "cegis-repair": "005ee1ae7305068f80a1fc8369965bd57a697ce10759a9029dfec3e80876c035",
+        "check": "d4b144634d5e311c21960bbf8d2ccf87e31660ac32ffd0e761989935b0612993",
+        "data-repair": "a258bab014f81d661d23fe0a4f0e1bcab234f91fa44588b1ad4f645e256a9605",
+        "model-repair": "7dea1847ca55466eddade800476fb1be1eec49161c41ff5ededf34d18dd7e4f5",
+        "rate-repair": "6eee7a24e7313001f73effcdc7bd9b3536fde2a8963a7e2d736f1c974a1fca91",
+        "reward-repair": "5058270d4cd932604ed21f38b07a6de4255a1818d6d94f47fd854a399aa9528c",
+        "robust-repair": "7c0d710080dcab5759f398644be791d32850277203b50fa9608f67e94016256c",
+    }
+
+    def test_fingerprints_are_pinned(self):
+        fingerprints = {
+            kind: job.fingerprint() for kind, job in self.example_jobs().items()
+        }
+        assert fingerprints == self.PINNED_FINGERPRINTS
+
+    def test_every_kind_pickles(self):
+        # The process pool ships specs to its workers by pickle.
+        for job in self.example_jobs().values():
+            clone = pickle.loads(pickle.dumps(job))
+            assert type(clone) is type(job)
+            assert vars(clone) == vars(job)
             assert clone.fingerprint() == job.fingerprint()
 
 
@@ -365,5 +411,5 @@ class TestJobFiles:
 
     def test_duplicate_ids_rejected(self, sluggish_chain):
         job = CheckJob.for_model("dup", sluggish_chain, 'P>=0.2 [ F "goal" ]')
-        with pytest.raises(ValueError, match="duplicate job_id"):
+        with pytest.raises(JobValidationError, match="duplicate job_id"):
             load_jobs_payload([job.to_dict(), job.to_dict()])

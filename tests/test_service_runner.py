@@ -85,11 +85,20 @@ class TestPoolSizing:
         assert BatchRunner().max_workers == 2
         assert BatchRunner(max_workers=0).max_workers == 0
 
+    def test_without_affinity_api_falls_back_to_cpu_count(self, monkeypatch):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert BatchRunner().max_workers == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert BatchRunner().max_workers == 1
+
     def test_shares_the_solver_helper(self):
-        import repro.optimize.nlp as nlp
+        import repro.cpus as cpus
         import repro.service.runner as runner
 
-        assert runner.usable_cpus is nlp.usable_cpus
+        assert runner.usable_cpus is cpus.usable_cpus
 
 
 class TestInvalidPayloads:
