@@ -22,7 +22,10 @@ content-addressed cache turns every repeat into a dictionary lookup.
   corridor)`` for corridor-restricted constraints, with the companion
   ``("corridor-snapshot", …)`` key holding the resumable
   :class:`~repro.checking.parametric.EliminationSnapshot` so warm runs
-  and wider corridors skip the interior re-elimination.
+  and wider corridors skip the interior re-elimination, and
+* ``("region", kind, fingerprint, region, query, direction)`` for the
+  best value over a repair region (:mod:`repro.repair.region`), shared
+  across bounds like the parametric closed form.
 
 Mutating a model never invalidates a *wrong* entry: models are
 effectively immutable (updates go through ``with_transitions`` /
@@ -72,7 +75,7 @@ class CheckCache:
     >>> cache.get_or_compute(("k",), lambda: 0)  # hit, thunk not called
     42
     >>> cache.stats()
-    {'hits': 1, 'misses': 1, 'entries': 1, 'evictions': 0, 'backing_hits': 0, 'parametric_eliminations': 0, 'elimination_states': 0, 'elimination_fill_in': 0, 'elimination_reuse_hits': 0, 'elimination_ms': 0}
+    {'hits': 1, 'misses': 1, 'entries': 1, 'evictions': 0, 'backing_hits': 0, 'parametric_eliminations': 0, 'elimination_states': 0, 'elimination_fill_in': 0, 'elimination_reuse_hits': 0, 'elimination_ms': 0, 'region_solves': 0, 'region_hits': 0}
     """
 
     def __init__(self, max_entries: int = 4096, backing=None):
@@ -94,6 +97,9 @@ class CheckCache:
         self.elimination_fill_in = 0
         self.elimination_reuse_hits = 0
         self.elimination_ms = 0.0
+        #: Repair-region solves run and served from the memo.
+        self.region_solves = 0
+        self.region_hits = 0
 
     # ------------------------------------------------------------------
     # Core operations
@@ -161,6 +167,8 @@ class CheckCache:
         self.elimination_fill_in = 0
         self.elimination_reuse_hits = 0
         self.elimination_ms = 0.0
+        self.region_solves = 0
+        self.region_hits = 0
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/size counters (used by the cache-reuse assertions)."""
@@ -175,6 +183,8 @@ class CheckCache:
             "elimination_fill_in": self.elimination_fill_in,
             "elimination_reuse_hits": self.elimination_reuse_hits,
             "elimination_ms": int(self.elimination_ms),
+            "region_solves": self.region_solves,
+            "region_hits": self.region_hits,
         }
 
     def __len__(self) -> int:
@@ -192,13 +202,12 @@ class CheckCache:
     ) -> Key:
         """Key for a parametric closed form: the path formula (with the
         reward label), not the comparison or bound it is checked against."""
-        if isinstance(formula, RewardOperator):
-            query = ("R", formula.label, formula.path)
-        elif isinstance(formula, ProbabilisticOperator):
-            query = ("P", formula.path)
-        else:
-            query = (formula,)
-        return ("parametric", parametric_fingerprint(model), query, method)
+        return (
+            "parametric",
+            parametric_fingerprint(model),
+            path_query(formula),
+            method,
+        )
 
     def _record_elimination(self, stats: Dict[str, int], seconds: float) -> None:
         self.parametric_eliminations += 1
@@ -321,6 +330,20 @@ class CheckCache:
                 self.backing.put(snapshot_key, produced)
         return constraint, produced
 
+    def region_best(self, key: Key, solve: Callable[[], float]) -> float:
+        """Memoised best value over a repair region (``nan`` when the
+        solve was inconclusive); counts ``region_solves``/``region_hits``."""
+        solves = self.region_solves
+
+        def counted() -> float:
+            self.region_solves += 1
+            return solve()
+
+        best = self.get_or_compute(key, counted)
+        if self.region_solves == solves:
+            self.region_hits += 1
+        return best
+
     def stacked_kernel(self, constraints):
         """Memoised fused kernel over an ordered constraint list.
 
@@ -375,6 +398,16 @@ def cached_check(
     return store.get_or_compute(
         key, lambda: checker_class(model, engine).check(formula)
     )
+
+
+def path_query(formula: StateFormula) -> Tuple:
+    """The part of a formula a cached value depends on: the path formula
+    (plus the reward label), not the comparison or bound."""
+    if isinstance(formula, RewardOperator):
+        return ("R", formula.label, formula.path)
+    if isinstance(formula, ProbabilisticOperator):
+        return ("P", formula.path)
+    return (formula,)
 
 
 def parametric_fingerprint(model: ParametricDTMC) -> str:

@@ -17,7 +17,10 @@ Subcommands::
     repro car-demo
 
 ``check`` and ``model-repair`` operate on JSON models written by
-:func:`repro.io.save_model`; the demo commands run the paper's case
+:func:`repro.io.save_model`; a model file that is missing or not such a
+model, or a formula that does not parse, prints one line on standard
+error and exits with code 2 (code 1 keeps its meaning: violated,
+infeasible or not robust); the demo commands run the paper's case
 studies end-to-end and print a short report.  ``batch`` drives a jobs
 file (see :mod:`repro.service.jobs`) through the fault-tolerant
 process-pool runner, and ``serve`` exposes the same runtime over a
@@ -33,14 +36,37 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.core import check_model
+class InputError(Exception):
+    """A model file or formula the command cannot use (exit code 2)."""
+
+
+def _load_model(path: str):
     from repro.io import load_model
+
+    try:
+        return load_model(path)
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        # Missing or unreadable file, not JSON (e.g. PRISM source), or
+        # JSON that is not a saved model.
+        detail = f"missing field {error}" if isinstance(error, KeyError) else error
+        raise InputError(f"cannot load model from {path}: {detail}") from None
+
+
+def _parse_formula(text: str):
     from repro.logic import parse_pctl
 
+    try:
+        return parse_pctl(text)
+    except ValueError as error:
+        raise InputError(f"cannot parse formula {text!r}: {error}") from None
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.core import check_model
+
     np.random.seed(args.seed)
-    model = load_model(args.model)
-    formula = parse_pctl(args.formula)
+    model = _load_model(args.model)
+    formula = _parse_formula(args.formula)
     result = check_model(model, formula, engine=args.engine)
     verdict = "satisfied" if result.holds else "violated"
     print(f"{args.formula}: {verdict}")
@@ -51,18 +77,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_model_repair(args: argparse.Namespace) -> int:
     from repro.core import ModelRepair
-    from repro.io import load_model, save_model
-    from repro.logic import parse_pctl
+    from repro.io import save_model
     from repro.mdp import DTMC
 
-    model = load_model(args.model)
+    model = _load_model(args.model)
+    formula = _parse_formula(args.formula)
     if not isinstance(model, DTMC):
         print("model-repair operates on DTMC models", file=sys.stderr)
         return 2
     np.random.seed(args.seed)
     repair = ModelRepair.for_chain(
         model,
-        parse_pctl(args.formula),
+        formula,
         max_perturbation=args.max_perturbation,
         engine=args.engine,
     )
@@ -73,6 +99,8 @@ def _cmd_model_repair(args: argparse.Namespace) -> int:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return 0 if result.feasible else 1
     print(f"status: {result.status}")
+    if result.proof is not None:
+        print(result.proof.describe())
     if result.status == "repaired":
         print(f"cost g(Z) = {result.objective_value:.6g}")
         print(f"epsilon (Prop. 1 bound) = {result.epsilon:.6g}")
@@ -88,17 +116,18 @@ def _cmd_model_repair(args: argparse.Namespace) -> int:
 
 def _cmd_robust_repair(args: argparse.Namespace) -> int:
     from repro.core import repair_robust
-    from repro.io import load_model, save_model
+    from repro.io import save_model
     from repro.mdp import DTMC
 
-    model = load_model(args.model)
+    model = _load_model(args.model)
+    formula = _parse_formula(args.formula)
     if not isinstance(model, DTMC):
         print("robust-repair operates on DTMC models", file=sys.stderr)
         return 2
     np.random.seed(args.seed)
     result = repair_robust(
         model,
-        args.formula,
+        formula,
         epsilon=args.epsilon,
         max_perturbation=args.max_perturbation,
         engine=args.engine,
@@ -136,17 +165,18 @@ def _cmd_robust_repair(args: argparse.Namespace) -> int:
 
 def _cmd_cegis_repair(args: argparse.Namespace) -> int:
     from repro.core import repair_cegis
-    from repro.io import load_model, save_model
+    from repro.io import save_model
     from repro.mdp import DTMC
 
-    model = load_model(args.model)
+    model = _load_model(args.model)
+    formula = _parse_formula(args.formula)
     if not isinstance(model, DTMC):
         print("cegis-repair operates on DTMC models", file=sys.stderr)
         return 2
     np.random.seed(args.seed)
     result = repair_cegis(
         model,
-        args.formula,
+        formula,
         max_perturbation=args.max_perturbation,
         engine=args.engine,
         max_iterations=args.max_iterations,
@@ -180,9 +210,9 @@ def _cmd_cegis_repair(args: argparse.Namespace) -> int:
 def _cmd_rate_repair(args: argparse.Namespace) -> int:
     from repro.core import repair_rates
     from repro.ctmc import CTMC
-    from repro.io import load_model, save_model
+    from repro.io import save_model
 
-    model = load_model(args.model)
+    model = _load_model(args.model)
     if not isinstance(model, CTMC):
         print("rate-repair operates on CTMC models", file=sys.stderr)
         return 2
@@ -220,17 +250,15 @@ def _cmd_rate_repair(args: argparse.Namespace) -> int:
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     from repro.checking import DTMCModelChecker, counterexample
-    from repro.io import load_model
-    from repro.logic import parse_pctl
     from repro.logic.pctl import ProbabilisticOperator
     from repro.mdp import DTMC
 
-    model = load_model(args.model)
+    model = _load_model(args.model)
+    formula = _parse_formula(args.formula)
     if not isinstance(model, DTMC):
         print("counterexample operates on DTMC models", file=sys.stderr)
         return 2
     np.random.seed(args.seed)
-    formula = parse_pctl(args.formula)
     if not isinstance(formula, ProbabilisticOperator):
         print("counterexample needs a P<=b / P<b formula", file=sys.stderr)
         return 2
@@ -269,10 +297,10 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_prism(args: argparse.Namespace) -> int:
-    from repro.io import dtmc_to_prism, load_model, mdp_to_prism
+    from repro.io import dtmc_to_prism, mdp_to_prism
     from repro.mdp import DTMC
 
-    model = load_model(args.model)
+    model = _load_model(args.model)
     text = dtmc_to_prism(model) if isinstance(model, DTMC) else mdp_to_prism(model)
     if args.output:
         with open(args.output, "w") as handle:
@@ -704,7 +732,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

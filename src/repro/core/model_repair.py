@@ -11,7 +11,9 @@ smallest perturbation ``Z`` of the transition probabilities such that
                                                  preserved)
          0 < P(i,j) + Z(i,j) < 1                (Eq. 6: stochasticity)
 
-Two ways to define the feasible repair space ``Feas_MP``:
+Two ways to define the feasible repair space ``Feas_MP`` (each also
+defines the region the engine's region check bounds the property over,
+see :mod:`repro.repair.region`):
 
 * :meth:`ModelRepair.for_chain` — one perturbation variable per
   controllable edge, with each controllable row's last edge dependent so
@@ -41,6 +43,12 @@ from repro.mdp.bisimulation import perturbation_bound
 from repro.mdp.model import DTMC
 from repro.optimize import Constraint, Variable
 from repro.repair import ParametricSpec, RepairProblem, RepairResult, solve_repair
+from repro.repair.region import (
+    IntervalRegion,
+    LiftedRegion,
+    RegionProof,
+    region_proof,
+)
 from repro.symbolic import Polynomial
 
 State = Hashable
@@ -99,6 +107,9 @@ class ModelRepairResult(RepairResult):
     epsilon:
         Proposition 1's ε-bisimulation bound between original and
         repaired model (0 when no repair was needed).
+    proof:
+        The :class:`~repro.repair.region.RegionProof` when the region
+        check proved the problem infeasible, else ``None``.
     """
 
     flavor = "model"
@@ -113,6 +124,7 @@ class ModelRepairResult(RepairResult):
         verified: bool,
         message: str = "",
         solver_stats: Optional[Mapping[str, int]] = None,
+        proof: Optional[RegionProof] = None,
     ):
         super().__init__(
             status=status,
@@ -124,6 +136,7 @@ class ModelRepairResult(RepairResult):
         )
         self.repaired_model = repaired_model
         self.epsilon = epsilon
+        self.proof = proof
 
     def extra_payload(self) -> Dict:
         from repro.io.json_io import model_to_payload
@@ -135,6 +148,7 @@ class ModelRepairResult(RepairResult):
                 if self.repaired_model is None
                 else model_to_payload(self.repaired_model)
             ),
+            "proof": None if self.proof is None else self.proof.to_dict(),
         }
 
     @classmethod
@@ -142,6 +156,7 @@ class ModelRepairResult(RepairResult):
         from repro.io.json_io import model_from_payload
 
         repaired = payload.get("repaired_model")
+        proof = payload.get("proof")
         return cls(
             status=payload["status"],
             repaired_model=(
@@ -153,6 +168,7 @@ class ModelRepairResult(RepairResult):
             verified=payload.get("verified", False),
             message=payload.get("message", ""),
             solver_stats=payload.get("solver_stats", {}),
+            proof=None if proof is None else RegionProof.from_dict(proof),
         )
 
     def _repr_extra(self) -> str:
@@ -179,6 +195,8 @@ class ModelRepair:
         extra_constraints: Sequence[Constraint] = (),
         cache: Optional[CheckCache] = None,
         engine: str = "sparse",
+        *,
+        region,
     ):
         self.original = original
         self.formula = formula
@@ -193,6 +211,11 @@ class ModelRepair:
         self.cache = cache
         #: Numeric engine for the concrete pre-check and re-verification.
         self.engine = engine
+        #: The repair region (:mod:`repro.repair.region`) the engine's
+        #: region check bounds the property over: the exact interval
+        #: rows of :meth:`for_chain`, the parameter-lifted box of
+        #: :meth:`from_parametric`.
+        self.region = region
 
     # ------------------------------------------------------------------
     # Constructors
@@ -363,6 +386,7 @@ class ModelRepair:
             cost=cost_function,
             extra_constraints=extra_constraints,
             engine=engine,
+            region=IntervalRegion(chain, controllable, max_perturbation, margin),
         )
 
     @staticmethod
@@ -423,6 +447,7 @@ class ModelRepair:
             cost=cost,
             extra_constraints=extra_constraints,
             engine=engine,
+            region=LiftedRegion(parametric_model, variables),
         )
 
     # ------------------------------------------------------------------
@@ -444,6 +469,7 @@ class ModelRepair:
             constraints=self.extra_constraints,
             original=self.original,
             formula=self.formula,
+            region=lambda: region_proof(self.region, self.formula, self.cache),
             instantiate=self.parametric_model.instantiate,
             epsilon=lambda repaired: perturbation_bound(self.original, repaired),
             already_satisfied_message=(
@@ -472,8 +498,9 @@ class ModelRepair:
     ) -> ModelRepairResult:
         """Run the full Model Repair pipeline (the shared driver):
 
-        pre-check → cached elimination → multi-start NLP → concrete
-        re-verification → ε-bound (:func:`repro.repair.solve_repair`).
+        pre-check → region check → cached elimination → multi-start
+        NLP → concrete re-verification → ε-bound
+        (:func:`repro.repair.solve_repair`).
         """
         outcome = solve_repair(
             self.problem(), extra_starts=extra_starts, seed=seed
@@ -487,6 +514,7 @@ class ModelRepair:
             verified=outcome.verified,
             message=outcome.message,
             solver_stats=outcome.solver_stats,
+            proof=outcome.proof,
         )
 
 

@@ -221,6 +221,8 @@ def model_to_payload(model) -> Dict:
 
 def model_from_payload(payload: Dict):
     """Inverse of :func:`model_to_payload`."""
+    if not isinstance(payload, dict):
+        raise ValueError("a model payload is a JSON object")
     kind = payload.get("kind")
     if kind == "dtmc":
         return dtmc_from_dict(payload["model"])

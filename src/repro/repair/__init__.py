@@ -10,8 +10,8 @@ scheme; the flavour modules reduce to thin problem-builders:
     The declarative shape: variables, parametric/rational constraints,
     pluggable cost, margin handling, flavour hooks.
 :func:`solve_repair` / :class:`EngineOutcome`
-    The single driver: already-satisfied short-circuit → cached
-    parametric elimination → multi-start NLP solve → concrete
+    The single driver: already-satisfied short-circuit → region check →
+    cached parametric elimination → multi-start NLP solve → concrete
     re-verification → ε-bound computation.
 :class:`RepairResult`
     The result base every flavour's result class subclasses, with the
@@ -23,6 +23,11 @@ scheme; the flavour modules reduce to thin problem-builders:
     wraps any model/data-repair builder so the repaired model is
     certified against every chain in a ±ε interval ball, with graceful
     degradation to the nominal check on non-convergence.
+:class:`RegionProof` / :class:`IntervalRegion` / :class:`LiftedRegion`
+    Feasibility over the whole repair region
+    (:mod:`repro.repair.region`): the engine's region check proves
+    ``infeasible`` before any elimination or NLP solve when even the
+    best value over the region violates the bound.
 :class:`CegisRepair` / :class:`CegisRepairResult`
     The counterexample-guided flavour (:mod:`repro.repair.cegis`):
     grows a working set of localized constraints from smallest
@@ -47,6 +52,12 @@ from repro.repair.robust import (
     RobustRepairResult,
     robust_verify,
 )
+from repro.repair.region import (
+    IntervalRegion,
+    LiftedRegion,
+    RegionProof,
+    region_proof,
+)
 from repro.repair.cegis import (
     CegisIteration,
     CegisRepair,
@@ -59,12 +70,16 @@ __all__ = [
     "CegisRepair",
     "CegisRepairResult",
     "EngineOutcome",
+    "IntervalRegion",
+    "LiftedRegion",
     "ParametricSpec",
     "RepairProblem",
+    "RegionProof",
     "RepairResult",
     "RobustCertificate",
     "RobustRepair",
     "RobustRepairResult",
+    "region_proof",
     "robust_verify",
     "solve_repair",
 ]

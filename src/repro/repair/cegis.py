@@ -8,6 +8,10 @@ Jansen, Junges, Katoen), :class:`CegisRepair` never builds the global
 constraint up front.  Instead it grows a working set of *local*
 constraints driven by counterexamples:
 
+0. **region check** — once, on the full problem: the base problem's
+   ``region`` hook (:mod:`repro.repair.region`) bounds the property
+   over the whole repair region; a proved infeasibility returns before
+   any localization;
 1. **concrete check** — model-check the current candidate's concrete
    chain with the sparse engine (memoised);
 2. **localize** — on violation, extract a smallest counterexample
@@ -15,8 +19,7 @@ constraints driven by counterexamples:
    evidence-touched subchain via
    :func:`repro.checking.parametric.restricted_constraint` — a
    sub-stochastic truncation whose constraint is a *relaxation* of the
-   full one (sound: it never cuts off true repairs, and its
-   infeasibility implies the full problem's);
+   full one (sound: it never cuts off true repairs);
 3. **re-solve** — add the local constraint to the working set and run
    the shared :func:`~repro.repair.engine.solve_repair` NLP over it;
 4. **tighten** — when the candidate still violates the *full* formula
@@ -59,6 +62,7 @@ from repro.logic.pctl import ProbabilisticOperator, RewardOperator, Until
 from repro.mdp.model import DTMC
 from repro.repair.engine import solve_repair
 from repro.repair.problem import ParametricSpec
+from repro.repair.region import RegionProof
 from repro.repair.results import RepairResult
 
 #: Default bound on check → localize → solve rounds.
@@ -207,6 +211,9 @@ class CegisRepairResult(RepairResult):
     perturbation_bound:
         Proposition 1's ε-bisimulation bound from the wrapped flavour
         (0 when it defines none).
+    proof:
+        The :class:`~repro.repair.region.RegionProof` when the region
+        check proved the problem infeasible, else ``None``.
     """
 
     flavor = "cegis"
@@ -226,6 +233,7 @@ class CegisRepairResult(RepairResult):
         perturbation_bound: float = 0.0,
         message: str = "",
         solver_stats: Optional[Mapping[str, int]] = None,
+        proof: Optional[RegionProof] = None,
     ):
         super().__init__(
             status=status,
@@ -242,6 +250,7 @@ class CegisRepairResult(RepairResult):
         self.iteration_log = list(iteration_log or [])
         self.repaired_model = repaired_model
         self.perturbation_bound = float(perturbation_bound)
+        self.proof = proof
 
     def extra_payload(self) -> Dict:
         from repro.io.json_io import model_to_payload
@@ -258,6 +267,7 @@ class CegisRepairResult(RepairResult):
                 if self.repaired_model is None
                 else model_to_payload(self.repaired_model)
             ),
+            "proof": None if self.proof is None else self.proof.to_dict(),
         }
 
     @classmethod
@@ -265,6 +275,7 @@ class CegisRepairResult(RepairResult):
         from repro.io.json_io import model_from_payload
 
         repaired = payload.get("repaired_model")
+        proof = payload.get("proof")
         return cls(
             status=payload["status"],
             assignment=payload.get("assignment", {}),
@@ -284,6 +295,7 @@ class CegisRepairResult(RepairResult):
             perturbation_bound=payload.get("perturbation_bound", 0.0),
             message=payload.get("message", ""),
             solver_stats=payload.get("solver_stats", {}),
+            proof=None if proof is None else RegionProof.from_dict(proof),
         )
 
     def _repr_extra(self) -> str:
@@ -567,9 +579,10 @@ class CegisRepair:
         """A fresh copy of the base problem solving the working set only."""
         problem = self.base.problem()
         problem.parametric = list(working)
-        # The concrete pre-check already ran (and failed); the engine's
-        # short-circuit must not consult the original again.
+        # The concrete pre-check and the region check already ran on the
+        # full problem; rounds and tightenings must not repeat them.
         problem.check = lambda: False
+        problem.region = None
         return problem
 
     def _tighten(
@@ -746,6 +759,14 @@ class CegisRepair:
                 assignment={},
                 message=base_problem.no_variable_message,
             )
+        proof = base_problem.run_region()
+        if proof is not None:
+            return CegisRepairResult(
+                status="infeasible",
+                assignment={},
+                message=proof.describe(),
+                proof=proof,
+            )
 
         candidate = base_problem.initial_assignment()
         violating = (
@@ -849,8 +870,10 @@ class CegisRepair:
                 )
                 last_outcome = outcome
             if outcome.status == "infeasible":
-                # The working set is a relaxation of the full problem:
-                # its infeasibility is a proof of the full problem's.
+                # The working set is a relaxation of the full problem,
+                # but the NLP finding no feasible point in it is a local
+                # failure, not a proof (the region check above is the
+                # only proof this loop gives).
                 return CegisRepairResult(
                     status="infeasible",
                     assignment=outcome.assignment,
@@ -861,7 +884,10 @@ class CegisRepair:
                     counterexample_states=total_states,
                     fallbacks=fallbacks,
                     iteration_log=records,
-                    message=outcome.message,
+                    message=(
+                        f"{outcome.message} (working-set NLP found no "
+                        "feasible point; not a proof)"
+                    ),
                     solver_stats=solver_totals,
                 )
             candidate = outcome.assignment

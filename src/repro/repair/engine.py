@@ -1,18 +1,22 @@
 """The single repair driver.
 
-Every repair flavour used to re-implement the same five steps; they now
+Every repair flavour used to re-implement the same steps; they now
 live here exactly once:
 
 1. **already-satisfied short-circuit** — concrete pre-check of the
    original artifact (memoised);
-2. **cached parametric elimination** — each
+2. **region check** — the flavour's ``region`` hook bounds the checked
+   quantity over the whole repair region
+   (:mod:`repro.repair.region`); a proved infeasibility returns before
+   any elimination, kernel compilation or NLP solve;
+3. **cached parametric elimination** — each
    :class:`~repro.repair.problem.ParametricSpec` reduces to a rational
    constraint through the :class:`~repro.checking.cache.CheckCache`;
-3. **multi-start NLP solve** — :class:`repro.optimize.NonlinearProgram`
+4. **multi-start NLP solve** — :class:`repro.optimize.NonlinearProgram`
    over the problem's variables, cost and constraints;
-4. **concrete re-verification** — instantiate the artifact at the
+5. **concrete re-verification** — instantiate the artifact at the
    solution and re-check it exactly;
-5. **ε-bound computation** — the flavour's post-repair bound
+6. **ε-bound computation** — the flavour's post-repair bound
    (Proposition 1's ε-bisimulation for Model Repair).
 
 The driver returns a neutral :class:`EngineOutcome`; flavour builders
@@ -58,6 +62,7 @@ class EngineOutcome:
         verified: bool = False,
         message: str = "",
         solver_stats: Optional[Dict[str, int]] = None,
+        proof=None,
     ):
         self.status = status
         self.assignment = dict(assignment)
@@ -67,6 +72,9 @@ class EngineOutcome:
         self.verified = verified
         self.message = message
         self.solver_stats = dict(solver_stats or {})
+        #: The :class:`~repro.repair.region.RegionProof` behind a proved
+        #: ``infeasible`` (``None`` for every other outcome).
+        self.proof = proof
 
     def __repr__(self) -> str:
         return (
@@ -106,6 +114,15 @@ def solve_repair(
             assignment={},
             objective_value=0.0,
             message=problem.no_variable_message,
+        )
+    proof = problem.run_region()
+    if proof is not None:
+        return EngineOutcome(
+            status="infeasible",
+            assignment={},
+            objective_value=0.0,
+            message=proof.describe(),
+            proof=proof,
         )
     program = NonlinearProgram(
         variables=problem.variables,

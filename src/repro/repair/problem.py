@@ -3,8 +3,8 @@
 A :class:`RepairProblem` is the common shape behind Propositions 1–4:
 decision variables, a pluggable cost (:mod:`repro.core.costs`),
 parametric side conditions ``M_Z |= φ`` awaiting state elimination,
-extra rational/box constraints, and four flavour hooks (pre-check,
-instantiate, verify, ε-bound).  The flavour modules *build* problems;
+extra rational/box constraints, and five flavour hooks (pre-check,
+region check, instantiate, verify, ε-bound).  The flavour modules *build* problems;
 :func:`repro.repair.engine.solve_repair` runs them.
 """
 
@@ -83,6 +83,12 @@ class RepairProblem:
         instead.
     check:
         Zero-argument pre-check hook; ``True`` short-circuits the solve.
+    region:
+        Zero-argument region check: a
+        :class:`~repro.repair.region.RegionProof` when no point of the
+        repair region can satisfy the requirement (the engine then
+        answers ``infeasible`` without eliminating or solving), else
+        ``None``.
     instantiate:
         ``assignment -> artifact`` (repaired chain, θ′, CTMC, …).
     verify:
@@ -112,6 +118,7 @@ class RepairProblem:
         original=None,
         formula: Optional[StateFormula] = None,
         check: Optional[Callable[[], bool]] = None,
+        region: Optional[Callable] = None,
         instantiate: Optional[Callable] = None,
         verify: Optional[Callable] = None,
         epsilon: Optional[Callable] = None,
@@ -133,6 +140,7 @@ class RepairProblem:
         self.original = original
         self.formula = formula
         self.check = check
+        self.region = region
         self.instantiate = instantiate
         self.verify = verify
         self.epsilon = epsilon
@@ -208,6 +216,13 @@ class RepairProblem:
                 self.original, self.formula, engine=self.engine, cache=self.cache
             ).holds
         return False
+
+    def run_region(self):
+        """A proof that the repair region holds no repair (``None`` if
+        no hook or the check is inconclusive)."""
+        if self.region is None:
+            return None
+        return self.region()
 
     def run_instantiate(self, assignment):
         """The repaired artifact at ``assignment`` (``None`` if no hook)."""

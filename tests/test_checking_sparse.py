@@ -375,7 +375,9 @@ class TestRepairCacheReuse:
     def test_model_repair_runs_one_elimination(self):
         from repro.casestudies.wsn import model_repair_problem
 
-        problem = model_repair_problem(bound=19)
+        # X=40 needs the NLP; at X=19 the region check proves
+        # infeasibility before any elimination runs.
+        problem = model_repair_problem(bound=40)
         problem.cache = CheckCache()
         before = analysis_count()
         problem.repair()

@@ -185,6 +185,17 @@ class TestModelRepair:
         assert code == 1
         assert "infeasible" in capsys.readouterr().out
 
+    def test_infeasible_prints_the_region_proof(self, chain_file, capsys):
+        code = main(
+            ["model-repair", chain_file, 'R<=2 [ F "goal" ]',
+             "--max-perturbation", "0.001"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "status: infeasible" in out
+        assert "proved infeasible: best over the repair region" in out
+        assert "(interval)" in out
+
     def test_json_output_is_canonical_payload(self, chain_file, capsys):
         import json
 
@@ -197,6 +208,57 @@ class TestModelRepair:
         assert payload["status"] == "repaired"
         rebuilt = RepairResult.from_dict(payload)
         assert rebuilt.to_dict() == payload
+
+
+#: Every command that reads a model file, with the arguments after it
+#: (``FORMULA`` marks the formula argument).
+MODEL_COMMANDS = {
+    "check": ["FORMULA"],
+    "model-repair": ["FORMULA"],
+    "robust-repair": ["FORMULA"],
+    "cegis-repair": ["FORMULA"],
+    "counterexample": ["FORMULA"],
+    "rate-repair": ["--targets", "s4", "--bound", "2"],
+    "export-prism": [],
+}
+
+
+class TestBadInput:
+    """Bad model files and formulas: one stderr line and exit code 2."""
+
+    @staticmethod
+    def run(command, model, formula, capsys):
+        rest = [formula if arg == "FORMULA" else arg
+                for arg in MODEL_COMMANDS[command]]
+        code = main([command, model] + rest)
+        captured = capsys.readouterr()
+        return code, captured.err.strip().splitlines()
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    def test_missing_file(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code, err = self.run(command, missing, 'P<=0.5 [ F "goal" ]', capsys)
+        assert code == 2
+        assert len(err) == 1 and "cannot load model" in err[0]
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    def test_non_json_file(self, command, tmp_path, capsys):
+        prism = tmp_path / "drone.pm"
+        assert main(["corpus", "generate", "--family", "drone",
+                     "-o", str(prism)]) == 0
+        capsys.readouterr()
+        code, err = self.run(command, str(prism), 'P<=0.5 [ F "goal" ]', capsys)
+        assert code == 2
+        assert len(err) == 1 and "drone.pm" in err[0]
+
+    @pytest.mark.parametrize(
+        "command",
+        sorted(c for c, rest in MODEL_COMMANDS.items() if "FORMULA" in rest),
+    )
+    def test_malformed_formula(self, command, chain_file, capsys):
+        code, err = self.run(command, chain_file, 'P<=0.5 [ F "goal" ', capsys)
+        assert code == 2
+        assert len(err) == 1 and "cannot parse formula" in err[0]
 
 
 class TestRobustRepair:
