@@ -361,7 +361,7 @@ class CheckCache:
         if len(constraints) == 1:
             return constraints[0].stacked()
         key: Key = ("stacked",) + tuple(
-            (str(c.function), float(c._sign), float(c.bound))
+            (c.text(), float(c._sign), float(c.bound))
             for c in constraints
         )
 

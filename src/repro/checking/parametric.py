@@ -54,7 +54,7 @@ from repro.logic.pctl import (
     check_comparison,
 )
 from repro.mdp.model import DTMC
-from repro.symbolic import Polynomial, RationalFunction, bareiss_determinant
+from repro.symbolic import Polynomial, RationalFunction, cramer_determinants
 
 State = Hashable
 Coefficient = Union[int, float, RationalFunction, Polynomial]
@@ -422,7 +422,8 @@ class ParametricDTMC:
         ``Q`` is the transient-to-transient block of ``matrix``.  Each
         row is cleared to polynomials by multiplying with the product of
         its entries' denominators; the same scaling multiplies both
-        Cramer determinants, so the ratio is unaffected.
+        Cramer determinants, so the ratio is unaffected.  Both come out
+        of one fraction-free pass (:func:`cramer_determinants`).
         """
         transient = [s for s in matrix if s not in targets]
         index = {s: i for i, s in enumerate(transient)}
@@ -451,18 +452,11 @@ class ParametricDTMC:
             rhs_scale = row_denominator.exact_div(rhs[state].denominator)
             poly_rows.append(row)
             rhs_polys.append(rhs[state].numerator * rhs_scale)
-        denominator_det = bareiss_determinant(poly_rows)
+        numerator_det, denominator_det = cramer_determinants(
+            poly_rows, rhs_polys, index[self.initial_state]
+        )
         if denominator_det.is_zero():
             raise ValueError("singular reachability system")
-        column = index[self.initial_state]
-        replaced = [
-            [
-                (rhs_polys[i] if j == column else poly_rows[i][j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        numerator_det = bareiss_determinant(replaced)
         return RationalFunction(numerator_det, denominator_det)
 
     # ------------------------------------------------------------------
@@ -719,6 +713,7 @@ class ParametricConstraint:
         self.bound = float(bound)
         self._compiled = None
         self._stacked = None
+        self._text = None
 
     @property
     def _sign(self) -> float:
@@ -742,6 +737,18 @@ class ParametricConstraint:
         if cached is None:
             cached = self.function.compiled()
             self._compiled = cached
+        return cached
+
+    def text(self) -> str:
+        """``str(function)``, built once and kept on the constraint.
+
+        The canonical text keys fused kernels in
+        :meth:`~repro.checking.cache.CheckCache.stacked_kernel`; printing
+        a large closed form on every solve costs more than the lookup.
+        """
+        cached = getattr(self, "_text", None)  # absent in older pickles
+        if cached is None:
+            cached = self._text = str(self.function)
         return cached
 
     def stacked(self):
@@ -780,6 +787,7 @@ class ParametricConstraint:
             return self
         other = ParametricConstraint(self.function, comparison, bound)
         other._compiled = self.compiled()
+        other._text = getattr(self, "_text", None)
         return other
 
     def holds_at(self, assignment: Mapping[str, float]) -> bool:

@@ -15,13 +15,21 @@ Public API
     Quotient of two polynomials, normalised and (best-effort) reduced.
 ``poly_gcd``
     Multivariate polynomial greatest common divisor (primitive PRS).
+``bareiss_determinant`` / ``cramer_determinants``
+    Fraction-free determinants; the second gives both of Cramer's
+    determinants from one elimination.
 ``compile_polynomial`` / ``compile_rational``
     Symbolic→numeric lowering to flat numpy kernels with analytic
     gradients and batch evaluation (:mod:`repro.symbolic.compile`) —
     the fast path of the repair NLP.
 """
 
-from repro.symbolic.polynomial import Polynomial, bareiss_determinant, poly_gcd
+from repro.symbolic.polynomial import (
+    Polynomial,
+    bareiss_determinant,
+    cramer_determinants,
+    poly_gcd,
+)
 from repro.symbolic.rational import RationalFunction
 from repro.symbolic.compile import (
     CompiledPolynomial,
@@ -38,6 +46,7 @@ __all__ = [
     "RationalFunction",
     "poly_gcd",
     "bareiss_determinant",
+    "cramer_determinants",
     "CompiledPolynomial",
     "CompiledRationalFunction",
     "StackedConstraintKernel",

@@ -12,6 +12,7 @@ functions built from these).
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
@@ -265,9 +266,31 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # Integer triples, not Fractions: ``Fraction.__hash__`` computes a
+        # modular inverse of the denominator.  Coefficients are normalised
+        # Fractions, so equal polynomials give equal triples.
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(
+                frozenset(
+                    (mono, coeff.numerator, coeff.denominator)
+                    for mono, coeff in self._terms.items()
+                )
+            )
         return self._hash
+
+    def __getstate__(self):
+        # The caches stay out of a pickle: the hash depends on the string
+        # hashes of the variable names, i.e. on PYTHONHASHSEED, so an
+        # interpreter that loads the pickle must recompute it.
+        return {"_terms": self._terms}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):  # (None, slots), with the old caches
+            state = state[1]
+        self._terms = state["_terms"]
+        self._hash = None
+        self._vars = None
+        self._float_terms = None
 
     # ------------------------------------------------------------------
     # Evaluation and substitution
@@ -371,30 +394,27 @@ class Polynomial:
         """Multivariate division with remainder (lex monomial order)."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        varlist = sorted(self.variables() | divisor.variables())
-
-        def order(mono: Monomial):
-            return _exponent_vector(mono, varlist)
-
-        quotient = Polynomial()
-        remainder = Polynomial()
-        current = self
-        lead_mono = max(divisor._terms, key=order)
+        key = _descending_lex(self.variables() | divisor.variables())
+        lead_mono = min(divisor._terms, key=key)
         lead_coeff = divisor._terms[lead_mono]
-        while not current.is_zero():
-            cur_mono = max(current._terms, key=order)
-            cur_coeff = current._terms[cur_mono]
-            if _mono_divides(lead_mono, cur_mono):
-                factor = Polynomial(
-                    {_mono_div(cur_mono, lead_mono): cur_coeff / lead_coeff}
-                )
-                quotient = quotient + factor
-                current = current - factor * divisor
-            else:
-                lead = Polynomial({cur_mono: cur_coeff})
-                remainder = remainder + lead
-                current = current - lead
-        return quotient, remainder
+        tail = [(m, c) for m, c in divisor._terms.items() if m != lead_mono]
+        current = dict(self._terms)
+        heap = _monomial_heap(current, key)
+        quotient: Dict[Monomial, Fraction] = {}
+        remainder: Dict[Monomial, Fraction] = {}
+        while heap:
+            mono = heapq.heappop(heap)[1]
+            coeff = current.pop(mono, None)
+            if coeff is None:  # stale: cancelled after it was pushed
+                continue
+            if not _mono_divides(lead_mono, mono):
+                remainder[mono] = coeff
+                continue
+            factor_mono = _mono_div(mono, lead_mono)
+            factor = coeff / lead_coeff
+            quotient[factor_mono] = factor
+            _subtract_shifted(current, heap, key, factor_mono, factor, tail)
+        return Polynomial(quotient), Polynomial(remainder)
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact division; raises ``ArithmeticError`` on nonzero remainder."""
@@ -470,6 +490,55 @@ def _exponent_vector(mono: Monomial, varlist) -> Tuple[int, ...]:
     return tuple(exps.get(var, 0) for var in varlist)
 
 
+def _descending_lex(variables):
+    """``mono -> key`` whose ascending order is descending lex order.
+
+    The key is the negated exponent vector over the sorted variables, so
+    a min-heap of ``(key, mono)`` pops the lexicographically greatest
+    monomial first (the order of :func:`_exponent_vector`).
+    """
+    position = {var: i for i, var in enumerate(sorted(variables))}
+    width = len(position)
+
+    def key(mono: Monomial) -> Tuple[int, ...]:
+        vector = [0] * width
+        for var, exp in mono:
+            vector[position[var]] = -exp
+        return tuple(vector)
+
+    return key
+
+
+def _monomial_heap(terms, key) -> list:
+    """A heap of ``(key(mono), mono)`` over the monomials of ``terms``."""
+    heap = [(key(mono), mono) for mono in terms]
+    heapq.heapify(heap)
+    return heap
+
+
+def _subtract_shifted(current, heap, key, factor_mono, factor, tail) -> None:
+    """``current −= factor·factor_mono·tail`` in place.
+
+    ``tail`` is the divisor without its leading term, whose product
+    cancels the leading term the caller has already popped.  Division
+    keeps ``heap`` covering every monomial of ``current``: a monomial
+    that enters (or re-enters after cancelling) is pushed, and one that
+    cancels stays behind as a stale entry the caller skips.
+    """
+    for mono, coeff in tail:
+        target = _mono_mul(factor_mono, mono)
+        previous = current.get(target)
+        if previous is None:
+            current[target] = -factor * coeff
+            heapq.heappush(heap, (key(target), target))
+            continue
+        value = previous - factor * coeff
+        if value:
+            current[target] = value
+        else:
+            del current[target]
+
+
 # ----------------------------------------------------------------------
 # Fraction-free linear algebra
 # ----------------------------------------------------------------------
@@ -487,9 +556,6 @@ def bareiss_determinant(matrix) -> Polynomial:
     over integer-coefficient dictionaries (Python ``int`` arithmetic is
     an order of magnitude faster than ``Fraction``); the accumulated
     scale is divided back out of the result.
-
-    This is the engine behind the parametric model checker's
-    Cramer-rule solver.
     """
     rows = [[_coerce(entry) for entry in row] for row in matrix]
     n = len(rows)
@@ -497,7 +563,49 @@ def bareiss_determinant(matrix) -> Polynomial:
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return Polynomial.one()
-    # Clear denominators row-wise; remember the total scale.
+    int_rows, scale = _integer_rows(rows)
+    sign = _bareiss_eliminate(int_rows)
+    return _scaled_back(int_rows[n - 1][n - 1], sign, scale)
+
+
+def cramer_determinants(matrix, rhs, column: int) -> Tuple[Polynomial, Polynomial]:
+    """``(det A_c←b, det A)`` for Cramer's rule, from one Bareiss pass.
+
+    ``A_c←b`` is ``matrix`` with column ``column`` replaced by ``rhs``.
+    Column ``c`` is moved to the last position and ``b`` appended, and
+    :func:`bareiss_determinant`'s elimination runs once over the
+    ``n × (n+1)`` matrix ``[A' | b]``.  Every entry after step ``k`` is
+    the minor on rows ``0..k, i`` and columns ``0..k, j`` (Sylvester),
+    so the last row ends with ``det A'`` at ``(n−1, n−1)`` and, at
+    ``(n−1, n)``, the determinant of ``A'`` with its last column — the
+    moved ``c`` — replaced by ``b``.  The cyclic shift of ``n−1−c``
+    columns multiplies both by ``(−1)^(n−1−c)``, which is undone, so
+    each polynomial equals its :func:`bareiss_determinant` exactly.
+    """
+    rows = [[_coerce(entry) for entry in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows) or len(rhs) != n:
+        raise ValueError("Cramer's rule needs a square matrix and n right-hand sides")
+    if not 0 <= column < n:
+        raise IndexError(f"column {column} is outside a {n}x{n} matrix")
+    augmented = [
+        row[:column] + row[column + 1:] + [row[column], _coerce(value)]
+        for row, value in zip(rows, rhs)
+    ]
+    int_rows, scale = _integer_rows(augmented)
+    sign = _bareiss_eliminate(int_rows)
+    if (n - 1 - column) % 2:
+        sign = -sign
+    last = int_rows[n - 1]
+    return (
+        _scaled_back(last[n], sign, scale),
+        _scaled_back(last[n - 1], sign, scale),
+    )
+
+
+def _integer_rows(rows):
+    """Each row times the LCM of its denominators, as integer term dicts,
+    and the product of those LCMs."""
     scale = Fraction(1)
     int_rows: list = []
     for row in rows:
@@ -512,6 +620,22 @@ def bareiss_determinant(matrix) -> Polynomial:
                 for entry in row
             ]
         )
+    return int_rows, scale
+
+
+def _bareiss_eliminate(int_rows) -> int:
+    """Fraction-free elimination of an ``n × m`` matrix (``m ≥ n``) in place.
+
+    Steps ``k = 0..n−2`` leave at ``(i, j)``, for ``i, j > k``, the minor
+    on rows ``0..k, i`` and columns ``0..k, j`` of the row-swapped input,
+    so the last row ends holding the ``n × n`` minors on columns
+    ``0..n−2`` plus column ``j``.  Returns the sign of the row swaps, or
+    0 when some pivot column is zero on and below the diagonal: the
+    first ``k+1`` columns are then dependent, so every one of those
+    minors vanishes.
+    """
+    n = len(int_rows)
+    width = len(int_rows[0])
     sign = 1
     previous_pivot: Dict[Monomial, int] = {(): 1}
     for k in range(n - 1):
@@ -520,7 +644,7 @@ def bareiss_determinant(matrix) -> Polynomial:
                 (i for i in range(k + 1, n) if int_rows[i][k]), None
             )
             if pivot_row is None:
-                return Polynomial.zero()
+                return 0
             int_rows[k], int_rows[pivot_row] = int_rows[pivot_row], int_rows[k]
             sign = -sign
         pivot = int_rows[k][k]
@@ -529,11 +653,11 @@ def bareiss_determinant(matrix) -> Polynomial:
             if not left:
                 # Row already has a zero in the pivot column; still must
                 # divide through to keep the Sylvester invariant.
-                for j in range(k + 1, n):
+                for j in range(k + 1, width):
                     product = _int_mul(pivot, int_rows[i][j])
                     int_rows[i][j] = _int_exact_div(product, previous_pivot)
                 continue
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 numerator = _int_sub(
                     _int_mul(pivot, int_rows[i][j]),
                     _int_mul(left, int_rows[k][j]),
@@ -541,11 +665,16 @@ def bareiss_determinant(matrix) -> Polynomial:
                 int_rows[i][j] = _int_exact_div(numerator, previous_pivot)
             int_rows[i][k] = {}
         previous_pivot = pivot
-    result = int_rows[n - 1][n - 1]
-    terms = {
-        mono: Fraction(coeff) / scale for mono, coeff in result.items() if coeff
-    }
-    poly = Polynomial(terms)
+    return sign
+
+
+def _scaled_back(terms: Dict[Monomial, int], sign: int, scale: Fraction) -> Polynomial:
+    """An eliminated entry as a Polynomial: times ``sign``, over ``scale``."""
+    if not sign:
+        return Polynomial.zero()
+    poly = Polynomial(
+        {mono: Fraction(coeff) / scale for mono, coeff in terms.items() if coeff}
+    )
     return -poly if sign < 0 else poly
 
 
@@ -585,37 +714,26 @@ def _int_exact_div(
         raise ZeroDivisionError("polynomial division by zero")
     if b == {(): 1}:
         return dict(a)
-    varset = set()
-    for mono in a:
-        for var, _ in mono:
-            varset.add(var)
-    for mono in b:
-        for var, _ in mono:
-            varset.add(var)
-    varlist = sorted(varset)
-
-    def order(mono: Monomial):
-        return _exponent_vector(mono, varlist)
-
-    lead_b = max(b, key=order)
+    variables = {var for mono in a for var, _ in mono}
+    variables.update(var for mono in b for var, _ in mono)
+    key = _descending_lex(variables)
+    lead_b = min(b, key=key)
     lead_b_coeff = b[lead_b]
+    tail = [(mono, coeff) for mono, coeff in b.items() if mono != lead_b]
     current = dict(a)
+    heap = _monomial_heap(current, key)
     quotient: Dict[Monomial, int] = {}
-    while current:
-        lead = max(current, key=order)
-        coeff = current[lead]
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        coeff = current.pop(lead, None)
+        if coeff is None:  # stale: cancelled after it was pushed
+            continue
         if not _mono_divides(lead_b, lead) or coeff % lead_b_coeff:
             raise ArithmeticError("inexact polynomial division in Bareiss step")
         factor_mono = _mono_div(lead, lead_b)
         factor_coeff = coeff // lead_b_coeff
         quotient[factor_mono] = factor_coeff
-        for mono, b_coeff in b.items():
-            target = _mono_mul(factor_mono, mono)
-            value = current.get(target, 0) - factor_coeff * b_coeff
-            if value:
-                current[target] = value
-            else:
-                current.pop(target, None)
+        _subtract_shifted(current, heap, key, factor_mono, factor_coeff, tail)
     return quotient
 
 

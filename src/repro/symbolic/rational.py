@@ -186,6 +186,24 @@ class RationalFunction:
                 self._hash = hash((self.numerator, self.denominator))
         return self._hash
 
+    def __getstate__(self):
+        # No hash in a pickle: a polynomial's hash depends on
+        # PYTHONHASHSEED.  The kernel stays, so a stored elimination
+        # carries it.
+        return {
+            "numerator": self.numerator,
+            "denominator": self.denominator,
+            "_compiled": self._compiled,
+        }
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):  # (None, slots), with the old hash
+            state = state[1]
+        self.numerator = state["numerator"]
+        self.denominator = state["denominator"]
+        self._hash = None
+        self._compiled = state.get("_compiled")
+
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -230,10 +248,7 @@ class RationalFunction:
 
         if params is not None:
             return compile_rational(self, params)
-        try:
-            cached = self._compiled
-        except AttributeError:  # unpickled from an older on-disk store
-            cached = None
+        cached = self._compiled
         if cached is None:
             cached = compile_rational(self)
             self._compiled = cached

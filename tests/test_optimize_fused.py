@@ -216,6 +216,30 @@ class TestStackedKernelCache:
     def test_empty_constraint_list_yields_none(self):
         assert CheckCache().stacked_kernel([]) is None
 
+    def test_key_text_is_printed_once_per_constraint(self, monkeypatch):
+        printed = []
+        original = RationalFunction.__str__
+
+        def counting(function):
+            printed.append(function)
+            return original(function)
+
+        monkeypatch.setattr(RationalFunction, "__str__", counting)
+        cache = CheckCache()
+        constraints = self.constraints()
+        first = cache.stacked_kernel(constraints)
+        assert cache.stacked_kernel(constraints) is first
+        assert len(printed) == len(constraints)
+        # Equal content in fresh objects still finds the same kernel.
+        assert cache.stacked_kernel(self.constraints()) is first
+        assert constraints[0].text() == original(constraints[0].function)
+
+    def test_key_text_of_a_constraint_pickled_without_it(self):
+        constraint = self.constraints()[0]
+        del constraint._text  # as unpickled from an older store
+        assert constraint.text() == str(constraint.function)
+        assert constraint.rebound("<=", 0.1).text() == constraint.text()
+
     def test_repair_problem_kernel_is_stable_across_calls(self):
         problem = FAMILIES["refuel"].repair(8).problem()
         first = problem.stacked_kernel()

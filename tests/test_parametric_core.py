@@ -18,6 +18,7 @@ on constant rows; and Data Repair's rational MLE rows (paper E4).  The
 reduction also reports its work through the ``CheckCache`` counters.
 """
 
+import hashlib
 import inspect
 from fractions import Fraction
 
@@ -209,6 +210,42 @@ class TestObservability:
         # core is the whole chain.
         spec = wsn.model_repair_problem(40).problem().parametric[0]
         assert self._eliminated(spec) == 0
+
+
+#: ``sha256(str(closed form))[:16]`` of paper E2 and the 15 corpus matrix
+#: points (the families at their first three sizes, seed 0), as the
+#: two-determinant Cramer engine produced them.  The one-pass engine
+#: must print the same functions.
+PINNED_CLOSED_FORMS = {
+    "E2-wsn-x40": "4c7e772739eccec2",
+    "drone@8": "4a95bdc8aa0d40cb",
+    "drone@12": "8a932fcebbb82b38",
+    "drone@16": "ec25c464138687c7",
+    "grid@3": "e89d935cb64b61e5",
+    "grid@4": "849f610f8b3ba6de",
+    "grid@5": "764e623b9388878f",
+    "network@3": "5892420aeafedb1a",
+    "network@4": "dce00e2683f90e61",
+    "network@5": "cc936734772194a8",
+    "random@12": "245a3e1354fc43f0",
+    "random@16": "59e4cde6bb205af0",
+    "random@24": "21e3c9fb75064fa5",
+    "refuel@8": "5c1f682dc5ea1561",
+    "refuel@12": "459a5b300730645e",
+    "refuel@16": "fa31296ea813ea40",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CLOSED_FORMS))
+def test_closed_form_matches_pinned_digest(case):
+    if case == "E2-wsn-x40":
+        repair = wsn.model_repair_problem(40)
+    else:
+        family, size = case.split("@")
+        repair = FAMILIES[family].repair(int(size), 0, cache=CheckCache())
+    function = parametric_constraint(repair.parametric_model, repair.formula).function
+    digest = hashlib.sha256(str(function).encode()).hexdigest()[:16]
+    assert digest == PINNED_CLOSED_FORMS[case]
 
 
 def test_min_degree_is_the_default_order_everywhere():

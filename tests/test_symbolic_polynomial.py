@@ -1,15 +1,30 @@
 """Unit and property tests for multivariate polynomials."""
 
+import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.symbolic import Polynomial, bareiss_determinant, poly_gcd
+from repro.symbolic import (
+    Polynomial,
+    RationalFunction,
+    bareiss_determinant,
+    cramer_determinants,
+    poly_gcd,
+)
 from repro.symbolic.polynomial import (
     _exponent_vector,
     _heuristic_gcd,
+    _int_exact_div,
+    _int_mul,
     _make_primitive_positive,
 )
 
@@ -285,3 +300,270 @@ class TestPropertyBased:
         quotient_b, remainder_b = b.divmod(gcd)
         assert remainder_a.is_zero()
         assert remainder_b.is_zero()
+
+
+# ----------------------------------------------------------------------
+# Division: heap-ordered leading terms against a rescanning reference
+# ----------------------------------------------------------------------
+def _rescan_divmod(dividend, divisor):
+    """Reference division: the leading term of the whole remainder is
+    found by ``max`` over every monomial on every step."""
+    varlist = sorted(dividend.variables() | divisor.variables())
+
+    def order(mono):
+        return _exponent_vector(mono, varlist)
+
+    divisor_terms = divisor.terms
+    lead_mono = max(divisor_terms, key=order)
+    lead = Polynomial({lead_mono: divisor_terms[lead_mono]})
+    quotient = remainder = Polynomial.zero()
+    current = dividend
+    while not current.is_zero():
+        terms = current.terms
+        mono = max(terms, key=order)
+        term = Polynomial({mono: terms[mono]})
+        if all(dict(mono).get(var, 0) >= exp for var, exp in lead_mono):
+            factor, rest = term.divmod(lead)
+            assert rest.is_zero()
+            quotient = quotient + factor
+            current = current - factor * divisor
+        else:
+            remainder = remainder + term
+            current = current - term
+    return quotient, remainder
+
+
+def _integer_terms(poly):
+    """``poly`` times the LCM of its denominators, as an integer term dict."""
+    lcm = 1
+    for coeff in poly.terms.values():
+        lcm = lcm * coeff.denominator // math.gcd(lcm, coeff.denominator)
+    return {mono: int(coeff * lcm) for mono, coeff in poly.terms.items()}
+
+
+def _fraction_poly(terms):
+    return Polynomial({mono: Fraction(coeff) for mono, coeff in terms.items()})
+
+
+class TestHeapDivision:
+    @given(polynomials(max_terms=5), polynomials())
+    @settings(max_examples=80, deadline=None)
+    def test_divmod_matches_rescan(self, a, b):
+        if b.is_zero():
+            return
+        for dividend in (a, a * b, a * b + a):
+            quotient, remainder = dividend.divmod(b)
+            assert (quotient, remainder) == _rescan_divmod(dividend, b)
+            assert quotient * b + remainder == dividend
+
+    @given(polynomials(max_terms=5), polynomials())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_exact_div_matches_rescan(self, a, b):
+        if b.is_zero():
+            return
+        divisor = _integer_terms(b)
+        for dividend in (_integer_terms(a), _int_mul(_integer_terms(a), divisor)):
+            quotient, remainder = _rescan_divmod(
+                _fraction_poly(dividend), _fraction_poly(divisor)
+            )
+            integral = all(c.denominator == 1 for c in quotient.terms.values())
+            if remainder.is_zero() and integral:
+                expected = {mono: int(c) for mono, c in quotient.terms.items()}
+                assert _int_exact_div(dividend, divisor) == expected
+            else:
+                with pytest.raises(ArithmeticError):
+                    _int_exact_div(dividend, divisor)
+
+    def test_inexact_integer_division_raises(self):
+        x = (("x", 1),)
+        with pytest.raises(ArithmeticError):  # monomial does not divide
+            _int_exact_div({x: 1, (): 1}, {(("y", 1),): 1})
+        with pytest.raises(ArithmeticError):  # coefficient does not divide
+            _int_exact_div({x: 3}, {x: 2})
+        with pytest.raises(ZeroDivisionError):
+            _int_exact_div({x: 3}, {})
+
+    def test_cancelled_monomial_that_reappears_is_divided(self):
+        # x·y cancels in the first step and re-enters in the second.
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        divisor = x * x + x * y + y * y
+        dividend = divisor * (x + y) + y
+        quotient, remainder = dividend.divmod(divisor)
+        assert (quotient, remainder) == (x + y, y)
+
+
+# ----------------------------------------------------------------------
+# Cramer: both determinants from one augmented Bareiss pass
+# ----------------------------------------------------------------------
+def _entries():
+    return st.one_of(
+        st.just(Polynomial.zero()),
+        small_fractions().map(Polynomial.constant),
+        polynomials(max_terms=2, max_exponent=1).filter(
+            lambda poly: not poly.is_zero()
+        ),
+    )
+
+
+@st.composite
+def cramer_systems(draw):
+    """``(A, b)`` with n = 1..6, many zero entries (so pivots are missing
+    and rows swap), and sometimes a repeated row or a zero column (so A
+    is singular)."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_entries()) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(_entries()) for _ in range(n)]
+    singular = draw(st.sampled_from(["no", "no", "row", "column"]))
+    if singular == "row" and n > 1:
+        source, target = draw(st.permutations(range(n)))[:2]
+        factor = draw(small_fractions())
+        rows[target] = [entry.scaled(factor) for entry in rows[source]]
+    elif singular == "column":
+        column = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[column] = Polynomial.zero()
+    return rows, rhs
+
+
+def _replaced(rows, rhs, column):
+    return [
+        [value if j == column else entry for j, entry in enumerate(row)]
+        for row, value in zip(rows, rhs)
+    ]
+
+
+class TestCramerDeterminants:
+    @given(cramer_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_one_pass_equals_two_determinants(self, system):
+        rows, rhs = system
+        denominator = bareiss_determinant(rows)
+        for column in range(len(rows)):
+            expected = (
+                bareiss_determinant(_replaced(rows, rhs, column)),
+                denominator,
+            )
+            assert cramer_determinants(rows, rhs, column) == expected
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_every_column_with_forced_row_swaps(self, column):
+        # Zero diagonal: every elimination step has to swap rows.
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        zero, one = Polynomial.zero(), Polynomial.one()
+        rows = [
+            [zero, x, one, zero],
+            [y, zero, zero, one],
+            [one, zero, zero, x + y],
+            [zero, one, x * y, zero],
+        ]
+        rhs = [x, one, y, x - y]
+        expected = (
+            bareiss_determinant(_replaced(rows, rhs, column)),
+            bareiss_determinant(rows),
+        )
+        assert cramer_determinants(rows, rhs, column) == expected
+        assert not expected[1].is_zero()
+
+    def test_singular_matrix(self):
+        # Columns 0 and 1 are equal: det A = 0, and A_c<-b is regular
+        # only when b replaces one of the pair.
+        x = Polynomial.variable("x")
+        rows = [[x, x, Polynomial.one()], [x, x, x], [Polynomial.one()] * 3]
+        rhs = [x, Polynomial.one(), x * x]
+        for column in range(3):
+            numerator, denominator = cramer_determinants(rows, rhs, column)
+            assert denominator.is_zero()
+            assert numerator == bareiss_determinant(_replaced(rows, rhs, column))
+            assert numerator.is_zero() == (column == 2)
+
+    def test_one_by_one(self):
+        x = Polynomial.variable("x")
+        assert cramer_determinants([[x + 1]], [x], 0) == (x, x + 1)
+
+    def test_rejects_bad_shapes(self):
+        x = Polynomial.variable("x")
+        with pytest.raises(ValueError):
+            cramer_determinants([[x, x]], [x], 0)
+        with pytest.raises(ValueError):
+            cramer_determinants([[x]], [x, x], 0)
+        with pytest.raises(IndexError):
+            cramer_determinants([[x]], [x], 1)
+
+
+# ----------------------------------------------------------------------
+# Hashing and pickling
+# ----------------------------------------------------------------------
+class TestHash:
+    @given(polynomials(max_terms=6), polynomials())
+    @settings(max_examples=80, deadline=None)
+    def test_equal_polynomials_hash_equal(self, a, b):
+        reversed_terms = Polynomial(dict(reversed(list(a.terms.items()))))
+        assert reversed_terms == a and hash(reversed_terms) == hash(a)
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+
+    def test_integer_and_fraction_coefficients_hash_equal(self):
+        mono = (("x", 2),)
+        as_int = Polynomial({mono: 3, (): -1})
+        as_fraction = Polynomial({(): Fraction(-2, 2), mono: Fraction(6, 2)})
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+
+
+_PICKLE_SCRIPT = r"""
+import copyreg, pickle, sys
+from repro.symbolic import Polynomial, RationalFunction
+
+x = Polynomial.variable("x")
+p = x * x + 3
+f = RationalFunction(p, x + 1)
+if sys.argv[1] == "load":
+    q, g = pickle.loads(sys.stdin.buffer.read())
+    checks = [p == q, len({p, q}) == 1, q in {p: 1}, f == g, g in {f: 1},
+              g._compiled is not None]
+    print(" ".join(str(check) for check in checks))
+    sys.exit(0)
+
+class SlotsState(pickle.Pickler):
+    # The layout of a pickle written before the caches were dropped from
+    # the state: every slot, the cached hash included.
+    def reducer_override(self, obj):
+        if type(obj) in (Polynomial, RationalFunction):
+            slots = {name: getattr(obj, name) for name in type(obj).__slots__}
+            return copyreg.__newobj__, (type(obj),), (None, slots)
+        return NotImplemented
+
+hash(p), hash(f), f.compiled()
+pickler = pickle.Pickler if sys.argv[1] == "dump" else SlotsState
+pickler(sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL).dump((p, f))
+"""
+
+
+def _run(mode, seed, data=b""):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _PICKLE_SCRIPT, mode],
+        input=data, env=env, capture_output=True, check=True, timeout=120,
+    )
+    return done.stdout
+
+
+class TestPickleAcrossHashSeeds:
+    @pytest.mark.parametrize("mode", ["dump", "dump-slots"])
+    def test_loaded_polynomials_hash_like_fresh_ones(self, mode):
+        # "dump-slots" writes the older layout whose state carries _hash.
+        written = _run(mode, seed=1)
+        assert _run("load", seed=2, data=written).split() == [b"True"] * 6
+
+    def test_state_leaves_out_the_caches(self):
+        p = Polynomial.variable("x") + 1
+        f = RationalFunction(p, p * p + 2)
+        hash(p), hash(f), p.variables(), f.compiled()
+        q, g = pickle.loads(pickle.dumps((p, f)))
+        assert (q._hash, q._vars, q._float_terms, g._hash) == (None,) * 4
+        assert g._compiled is not None
+        assert q == p and g == f
