@@ -4,11 +4,18 @@ Equation 1 minimises a cost of the perturbation; the paper's "typical
 function is the sum of squares of the perturbation variables" (the
 squared Frobenius norm of ``Z``).  Alternatives here support the
 cost-function ablation benchmark.
+
+The quadratic costs also publish ``quadratic(order) -> Q``, the
+symmetric matrix with ``cost(v) = xᵀQx`` for ``x`` the values in
+``order``: the NLP then evaluates the cost and its gradient ``2Qx`` on
+its own vector instead of through a name→value dict.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Sequence
+
+import numpy as np
 
 Assignment = Mapping[str, float]
 CostFunction = Callable[[Assignment], float]
@@ -25,7 +32,13 @@ def frobenius_gradient(assignment: Assignment) -> Dict[str, float]:
     return {name: 2.0 * value for name, value in assignment.items()}
 
 
+def frobenius_quadratic(order: Sequence[str]) -> np.ndarray:
+    """``Q = I``: the default cost as a constant quadratic form."""
+    return np.eye(len(order))
+
+
 frobenius_cost.gradient = frobenius_gradient
+frobenius_cost.quadratic = frobenius_quadratic
 
 
 def l1_cost(assignment: Assignment) -> float:
@@ -58,7 +71,11 @@ def weighted_quadratic_cost(weights: Mapping[str, float]) -> CostFunction:
             for name, value in assignment.items()
         }
 
+    def quadratic(order: Sequence[str]) -> np.ndarray:
+        return np.diag([float(weights.get(name, 1.0)) for name in order])
+
     cost.gradient = gradient
+    cost.quadratic = quadratic
     return cost
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro.checking.cache import CheckCache
+from repro.core.costs import frobenius_cost
 from repro.data.dataset import TraceDataset
 from repro.learning.mle import (
     learn_dtmc,
@@ -158,8 +159,9 @@ class DataRepair:
         atoms, rewards drive ``R`` properties).
     effort:
         The outer objective over drop probabilities; defaults to
-        ``Σ p_g²`` (the paper's ``‖p‖²`` with the keep/drop convention
-        folded in).
+        :func:`~repro.core.costs.frobenius_cost`, ``Σ p_g²`` (the
+        paper's ``‖p‖²`` with the keep/drop convention folded in), whose
+        analytic gradient the NLP uses.
     max_drop:
         Upper bound on every drop probability (< 1 keeps the learned
         chain's structure intact — Equation 6's analogue).
@@ -201,9 +203,7 @@ class DataRepair:
             self.states.append(initial_state)
         self.labels = labels
         self.state_rewards = state_rewards
-        self.effort = effort or (
-            lambda assignment: sum(value * value for value in assignment.values())
-        )
+        self.effort = effort or frobenius_cost
         if not 0 < max_drop < 1:
             raise ValueError("max_drop must lie strictly between 0 and 1")
         self.max_drop = max_drop

@@ -30,7 +30,9 @@ only *builds* the :class:`~repro.repair.RepairProblem`.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.checking.cache import CheckCache
 from repro.checking.parametric import (
@@ -55,41 +57,6 @@ State = Hashable
 Assignment = Dict[str, float]
 
 _DEFAULT_MARGIN = 1e-6
-
-
-def _linear_row_batch(row_vars: Sequence[str], offset: float, sign: float):
-    """Vectorized margin ``offset + sign·Σ z_row`` for start screening."""
-
-    def batch(points, names):
-        import numpy as np
-
-        columns = [names.index(name) for name in row_vars]
-        matrix = np.asarray(points, dtype=float)
-        return offset + sign * matrix[:, columns].sum(axis=1)
-
-    return batch
-
-
-def _abs_row_batch(row_vars: Sequence[str], bound: float):
-    """Vectorized margin ``bound − |Σ z_row|`` for start screening."""
-
-    def batch(points, names):
-        import numpy as np
-
-        columns = [names.index(name) for name in row_vars]
-        matrix = np.asarray(points, dtype=float)
-        return bound - np.abs(matrix[:, columns].sum(axis=1))
-
-    return batch
-
-
-def _abs_sum_gradient(
-    assignment: Mapping[str, float], row_vars: Sequence[str]
-) -> Dict[str, float]:
-    """Subgradient of ``−|Σ z_row|`` (0 at the kink, like a forward FD)."""
-    total = sum(assignment[name] for name in row_vars)
-    slope = -1.0 if total > 0 else (1.0 if total < 0 else 0.0)
-    return {name: slope for name in row_vars}
 
 
 class ModelRepairResult(RepairResult):
@@ -264,7 +231,7 @@ class ModelRepair:
         transitions: Dict[State, Dict[State, object]] = {
             s: dict(row) for s, row in chain.transitions.items()
         }
-        dependent_terms: List[Tuple[List[str], float]] = []
+        dependent_terms: List[List[str]] = []
         for state in controllable:
             successors = sorted(chain.transitions[state], key=str)
             row_vars: List[str] = []
@@ -285,51 +252,33 @@ class ModelRepair:
             for name in row_vars:
                 dependent = dependent - Polynomial.variable(name)
             transitions[state][last] = dependent
-            dependent_terms.append((row_vars, last_base))
-            # The row-sum constraints are linear, so they carry exact
-            # constant gradients (SLSQP then skips finite-differencing
-            # them) and a vectorized batch form for start screening.
+            dependent_terms.append(row_vars)
+            # The dependent entry p_last − Σz stays in [margin, 1 −
+            # margin] and, with a perturbation bound, its change −Σz in
+            # [−δ, δ]: linear rows, which the NLP solves as one
+            # constant-jacobian block.
+            down = {n: -1.0 for n in row_vars}
+            up = {n: 1.0 for n in row_vars}
+            row = f"row_{chain.index[state]}"
             extra_constraints.append(
-                Constraint(
-                    lambda v, names=row_vars, base=last_base: base
-                    - sum(v[n] for n in names)
-                    - margin,
-                    name=f"row_{chain.index[state]}_lower",
-                    gradient=lambda v, names=row_vars: {
-                        n: -1.0 for n in names
-                    },
-                    batch_margin=_linear_row_batch(
-                        row_vars, last_base - margin, -1.0
-                    ),
+                Constraint.from_linear(
+                    down, last_base - margin, name=f"{row}_lower"
                 )
             )
             extra_constraints.append(
-                Constraint(
-                    lambda v, names=row_vars, base=last_base: 1.0
-                    - base
-                    + sum(v[n] for n in names)
-                    - margin,
-                    name=f"row_{chain.index[state]}_upper",
-                    gradient=lambda v, names=row_vars: {
-                        n: 1.0 for n in names
-                    },
-                    batch_margin=_linear_row_batch(
-                        row_vars, 1.0 - last_base - margin, 1.0
-                    ),
+                Constraint.from_linear(
+                    up, 1.0 - last_base - margin, name=f"{row}_upper"
                 )
             )
             if max_perturbation is not None:
                 extra_constraints.append(
-                    Constraint(
-                        lambda v, names=row_vars: max_perturbation
-                        - abs(sum(v[n] for n in names)),
-                        name=f"row_{chain.index[state]}_delta",
-                        gradient=lambda v, names=row_vars: _abs_sum_gradient(
-                            v, names
-                        ),
-                        batch_margin=_abs_row_batch(
-                            row_vars, max_perturbation
-                        ),
+                    Constraint.from_linear(
+                        down, max_perturbation, name=f"{row}_delta_lower"
+                    )
+                )
+                extra_constraints.append(
+                    Constraint.from_linear(
+                        up, max_perturbation, name=f"{row}_delta_upper"
                     )
                 )
 
@@ -350,33 +299,31 @@ class ModelRepair:
                 # Named costs act on the full Z matrix: free variables
                 # plus each controllable row's dependent entry −Σ z.
                 full = dict(assignment)
-                for i, (names, _base) in enumerate(dependent_terms):
+                for i, names in enumerate(dependent_terms):
                     full[f"_dependent_{i}"] = -sum(assignment[n] for n in names)
                 return base_cost(full)
 
-            base_gradient = getattr(base_cost, "gradient", None)
-            if base_gradient is not None:
+            base_quadratic = getattr(base_cost, "quadratic", None)
+            if base_quadratic is not None:
 
-                def cost_gradient(assignment: Assignment) -> Assignment:
-                    # Chain rule through the dependent entries:
-                    # ∂(−Σ z)/∂z_n = −1 for every n in that row.
-                    full = dict(assignment)
-                    for i, (names, _base) in enumerate(dependent_terms):
-                        full[f"_dependent_{i}"] = -sum(
-                            assignment[n] for n in names
-                        )
-                    g_full = base_gradient(full)
-                    grad = {
-                        name: float(g_full.get(name, 0.0))
-                        for name in assignment
-                    }
-                    for i, (names, _base) in enumerate(dependent_terms):
-                        dep = float(g_full.get(f"_dependent_{i}", 0.0))
+                def cost_quadratic(order: Sequence[str]):
+                    # Q = Mᵀ Q_full M, where M maps the free variables
+                    # to the full Z row: identity on the free entries,
+                    # then one −1 row per dependent entry.
+                    index = {name: k for k, name in enumerate(order)}
+                    lift = np.zeros(
+                        (len(order) + len(dependent_terms), len(order))
+                    )
+                    lift[: len(order)] = np.eye(len(order))
+                    for i, names in enumerate(dependent_terms):
                         for name in names:
-                            grad[name] -= dep
-                    return grad
+                            lift[len(order) + i, index[name]] = -1.0
+                    full_order = list(order) + [
+                        f"_dependent_{i}" for i in range(len(dependent_terms))
+                    ]
+                    return lift.T @ base_quadratic(full_order) @ lift
 
-                cost_function.gradient = cost_gradient
+                cost_function.quadratic = cost_quadratic
 
         return ModelRepair(
             original=chain,

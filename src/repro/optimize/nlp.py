@@ -86,6 +86,35 @@ class _FusedEvaluation:
         return self.margins, self.jacobian
 
 
+def _linear_block(
+    constraints: Sequence["Constraint"], order: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(A, c)`` with ``A[k]·x + c[k]`` the k-th linear constraint's
+    shifted margin, columns in ``order``."""
+    index = {name: i for i, name in enumerate(order)}
+    matrix = np.zeros((len(constraints), len(order)))
+    offsets = np.empty(len(constraints))
+    for k, constraint in enumerate(constraints):
+        coefficients, offset = constraint.linear
+        for name, coef in coefficients.items():
+            matrix[k, index[name]] += coef
+        offsets[k] = offset - constraint._total_shift()
+    return matrix, offsets
+
+
+def _joint_linear_block(
+    matrix: np.ndarray, offsets: np.ndarray, blocks: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The linear block of ``blocks`` stacked starts: block-diagonal,
+    rows constraint-major (row ``k·blocks + b`` is row ``k`` of block
+    ``b``)."""
+    rows, dim = matrix.shape
+    joint = np.zeros((rows * blocks, blocks * dim))
+    for b in range(blocks):
+        joint[b::blocks, b * dim : (b + 1) * dim] = matrix
+    return joint, np.repeat(offsets, blocks)
+
+
 class Variable:
     """A named decision variable with box bounds and an initial guess."""
 
@@ -129,8 +158,14 @@ class Constraint:
     for a rational ``f``.  The solver fuses every stackable constraint
     into one :class:`~repro.symbolic.compile.StackedConstraintKernel`,
     so SLSQP sees a single vector-valued constraint instead of N python
-    callbacks.  Constraints without a spec (reward Q-values, row sums)
-    keep their own per-constraint ``margin``/``gradient`` entry.
+    callbacks.
+
+    ``linear`` is set by :meth:`from_linear`: a ``(coefficients,
+    offset)`` pair with raw margin ``offset + Σ coef·v``.  The solver
+    gathers every linear constraint into one constant-jacobian block
+    ``A x + c``.  Constraints with neither declaration (reward
+    Q-values) keep their own per-constraint ``margin``/``gradient``
+    entry.
     """
 
     def __init__(
@@ -150,6 +185,44 @@ class Constraint:
         self.gradient = gradient
         self.batch_margin = batch_margin
         self.stack_spec = stack_spec
+        self.linear: Optional[Tuple[Dict[str, float], float]] = None
+
+    @classmethod
+    def from_linear(
+        cls,
+        coefficients: Mapping[str, float],
+        offset: float,
+        name: str = "constraint",
+    ) -> "Constraint":
+        """The linear constraint ``offset + Σ coef·v ≥ 0``.
+
+        ``margin``, ``gradient`` and ``batch_margin`` are all built from
+        the one ``(coefficients, offset)`` form, which the solver reads
+        directly (see :meth:`NonlinearProgram.solve`).
+        """
+        coefficients = {n: float(c) for n, c in coefficients.items()}
+        offset = float(offset)
+
+        def margin(assignment: Assignment) -> float:
+            return offset + sum(
+                coef * assignment[n] for n, coef in coefficients.items()
+            )
+
+        def gradient(assignment: Assignment) -> Dict[str, float]:
+            return dict(coefficients)
+
+        def batch_margin(points, names) -> np.ndarray:
+            columns = [names.index(n) for n in coefficients]
+            matrix = np.asarray(points, dtype=float)
+            return offset + matrix[:, columns] @ np.array(
+                list(coefficients.values())
+            )
+
+        constraint = cls(
+            margin, name=name, gradient=gradient, batch_margin=batch_margin
+        )
+        constraint.linear = (coefficients, offset)
+        return constraint
 
     def _total_shift(self) -> float:
         return self.shift + (_STRICT_EPSILON if self.strict else 0.0)
@@ -276,6 +349,9 @@ class NonlinearProgram:
         self.objective = objective
         #: Optional analytic partials of the objective (name→value
         #: mapping); when present it is passed to SLSQP as ``jac=``.
+        #: An objective that publishes ``quadratic(order) -> Q`` (a
+        #: symmetric matrix with ``objective(v) = xᵀQx``) is evaluated
+        #: as ``xᵀQx`` and ``2Qx`` on the solver's vector instead.
         self.objective_gradient = objective_gradient
         self.constraints = list(constraints)
 
@@ -332,6 +408,7 @@ class NonlinearProgram:
         stack=None,
         columns=None,
         shifts=None,
+        linear=None,
         skip_ids=frozenset(),
     ) -> List[np.ndarray]:
         """Vectorized multi-start seeding over an oversampled candidate pool.
@@ -341,7 +418,8 @@ class NonlinearProgram:
         margin (higher is closer to feasible) and only the ``keep`` most
         promising ones are solved.  With a stacked kernel the whole
         ``(starts × constraints)`` margin matrix comes from **one**
-        fused batch call; remaining batch-capable constraints contribute
+        fused batch call, the linear block ``(A, c)`` from one
+        ``X Aᵀ + c``; remaining batch-capable constraints contribute
         one ``evaluate_batch`` pass each.
         """
         fixed, candidates = starts[:2], starts[2:]
@@ -355,6 +433,10 @@ class NonlinearProgram:
             margins = stack.margins_batch(matrix[:, columns]) - shifts
             margins = np.where(np.isfinite(margins), margins, -np.inf)
             score = np.minimum(score, margins.min(axis=1))
+            screened = True
+        if linear is not None:
+            matrix_a, offsets = linear
+            score = np.minimum(score, (matrix @ matrix_a.T + offsets).min(axis=1))
             screened = True
         for constraint in self.constraints:
             if id(constraint) in skip_ids or constraint.batch_margin is None:
@@ -432,6 +514,8 @@ class NonlinearProgram:
         others: List[Constraint],
         bounds,
         order: List[str],
+        linear,
+        quadratic: Optional[np.ndarray],
     ):
         """One block-diagonal SLSQP solve over every start at once.
 
@@ -439,7 +523,9 @@ class NonlinearProgram:
         joint program (separable objective, block-diagonal jacobian), so
         scipy's per-``minimize`` machinery runs once instead of once per
         start, and every constraint margin/derivative for every block
-        comes from one fused batch kernel call per iterate.  Returns
+        comes from one fused batch kernel call per iterate, and the
+        linear rows from one constant block-diagonal matrix built once
+        (:func:`_joint_linear_block`).  Returns
         ``(per-block assignments, stats)`` or ``None`` when the joint
         solve blew up; callers re-verify feasibility per block exactly,
         polish the winner with one warm local solve, and fall back to
@@ -486,6 +572,15 @@ class NonlinearProgram:
                 "jac": lambda z: fused(z)["jacobian"],
             }
         ]
+        if linear is not None:
+            joint_a, joint_offsets = _joint_linear_block(*linear, blocks)
+            joint_constraints.append(
+                {
+                    "type": "ineq",
+                    "fun": lambda z: joint_a @ z + joint_offsets,
+                    "jac": lambda z: joint_a,
+                }
+            )
         for constraint in others:
             def other_fun(z, constraint=constraint):
                 values = constraint.batch_values(z.reshape(blocks, dim), order)
@@ -508,21 +603,32 @@ class NonlinearProgram:
                 {"type": "ineq", "fun": other_fun, "jac": other_jac}
             )
 
-        def joint_objective(z: np.ndarray) -> float:
-            points = z.reshape(blocks, dim)
-            return float(
-                sum(self.objective(self._to_assignment(row)) for row in points)
-            )
+        if quadratic is not None:
 
-        def joint_gradient(z: np.ndarray) -> np.ndarray:
-            points = z.reshape(blocks, dim)
-            out = np.empty(blocks * dim)
-            for b, row in enumerate(points):
-                partials = self.objective_gradient(self._to_assignment(row))
-                out[b * dim : (b + 1) * dim] = [
-                    float(partials.get(name, 0.0)) for name in order
-                ]
-            return out
+            def joint_objective(z: np.ndarray) -> float:
+                points = z.reshape(blocks, dim)
+                return float(np.sum((points @ quadratic) * points))
+
+            def joint_gradient(z: np.ndarray) -> np.ndarray:
+                return 2.0 * (z.reshape(blocks, dim) @ quadratic).ravel()
+
+        else:
+
+            def joint_objective(z: np.ndarray) -> float:
+                points = z.reshape(blocks, dim)
+                return float(
+                    sum(self.objective(self._to_assignment(row)) for row in points)
+                )
+
+            def joint_gradient(z: np.ndarray) -> np.ndarray:
+                points = z.reshape(blocks, dim)
+                out = np.empty(blocks * dim)
+                for b, row in enumerate(points):
+                    partials = self.objective_gradient(self._to_assignment(row))
+                    out[b * dim : (b + 1) * dim] = [
+                        float(partials.get(name, 0.0)) for name in order
+                    ]
+                return out
 
         try:
             outcome = scipy_optimize.minimize(
@@ -578,7 +684,10 @@ class NonlinearProgram:
         ``stacked=None`` (default) builds it from their specs, and a
         pre-built kernel is used as given.  SLSQP's constraint and
         jacobian callbacks read one memoized fused evaluation per
-        iterate, and — for small enough ``starts × variables`` — all
+        iterate.  Every linear constraint (:meth:`Constraint.from_linear`)
+        joins one entry ``A x + c`` with the constant jacobian ``A``,
+        and an objective with a ``quadratic`` form is evaluated as
+        ``xᵀQx`` / ``2Qx``, both gathered once per solve.  For small enough ``starts × variables`` — all
         starts are solved as one block-diagonal joint program (then the
         winner is re-verified exactly and polished with a single warm
         local solve, falling back to the per-start loop if no block
@@ -593,7 +702,15 @@ class NonlinearProgram:
 
         members, stack = self._resolve_stack(stacked)
         member_ids = frozenset(id(c) for c in members)
-        others = [c for c in self.constraints if id(c) not in member_ids]
+        linear_members = [
+            c for c in self.constraints
+            if id(c) not in member_ids and c.linear is not None
+        ]
+        linear = (
+            _linear_block(linear_members, order) if linear_members else None
+        )
+        fused_ids = member_ids | {id(c) for c in linear_members}
+        others = [c for c in self.constraints if id(c) not in fused_ids]
         columns = shifts = None
         if stack is not None:
             index = {name: i for i, name in enumerate(order)}
@@ -626,15 +743,36 @@ class NonlinearProgram:
             return entries
 
         others_dicts = per_constraint_dicts(others)
-
-        def objective_vector(x: np.ndarray) -> float:
-            return float(self.objective(self._to_assignment(x)))
-
-        objective_jacobian = None
-        if self.objective_gradient is not None:
-            objective_jacobian = lambda x: gradient_vector(  # noqa: E731
-                self.objective_gradient, x
+        if linear is not None:
+            # Every linear row in one entry with a constant jacobian.
+            matrix_a, offsets = linear
+            others_dicts.insert(
+                0,
+                {
+                    "type": "ineq",
+                    "fun": lambda x: matrix_a @ x + offsets,
+                    "jac": lambda x: matrix_a,
+                },
             )
+
+        form = getattr(self.objective, "quadratic", None)
+        quadratic = None if form is None else np.asarray(form(order), float)
+        objective_jacobian = None
+        if quadratic is not None:
+
+            def objective_vector(x: np.ndarray) -> float:
+                return float(x @ quadratic @ x)
+
+            objective_jacobian = lambda x: 2.0 * (quadratic @ x)  # noqa: E731
+        else:
+
+            def objective_vector(x: np.ndarray) -> float:
+                return float(self.objective(self._to_assignment(x)))
+
+            if self.objective_gradient is not None:
+                objective_jacobian = lambda x: gradient_vector(  # noqa: E731
+                    self.objective_gradient, x
+                )
 
         def run_start(
             start: np.ndarray,
@@ -691,7 +829,8 @@ class NonlinearProgram:
                 stack=stack,
                 columns=columns,
                 shifts=shifts,
-                skip_ids=member_ids,
+                linear=linear,
+                skip_ids=fused_ids,
             )
 
         solver_stats: Dict[str, int] = {
@@ -712,10 +851,10 @@ class NonlinearProgram:
         # small problems.
         joint_eligible = (
             stack is not None
-            and self.objective_gradient is not None
+            and objective_jacobian is not None
             and len(starts) > 1
             and len(starts) * len(order) <= _JOINT_DIMENSION_LIMIT
-            and len(starts) * (stack.size + len(others))
+            and len(starts) * (stack.size + len(linear_members) + len(others))
             <= _JOINT_CONSTRAINT_LIMIT
             and all(
                 c.batch_margin is not None and c.gradient is not None
@@ -724,7 +863,8 @@ class NonlinearProgram:
         )
         if joint_eligible:
             joint = self._run_joint(
-                starts, stack, columns, shifts, others, bounds, order
+                starts, stack, columns, shifts, others, bounds, order,
+                linear, quadratic,
             )
             if joint is not None:
                 assignments, joint_stats, converged = joint

@@ -10,9 +10,11 @@ region violates the bound.  Two region builders feed the engine's
 * :class:`IntervalRegion` (:meth:`ModelRepair.for_chain`).  Each
   controllable row's repair set is exactly an interval row: every entry
   lies in ``[max(margin, p − δ), min(1 − margin, p + δ)]`` and the row
-  sums to one.  The NLP's variable bounds and its ``row_*_lower``,
-  ``row_*_upper`` and ``row_*_delta`` constraints describe the same
-  polytope, and every other row is a point interval.  Rows are
+  sums to one.  The NLP's variable bounds and its linear
+  ``row_*_lower``, ``row_*_upper``, ``row_*_delta_lower`` and
+  ``row_*_delta_upper`` rows (the last two are ``δ ∓ Σz ≥ 0``, i.e.
+  ``|Σz| ≤ δ``) describe the same polytope, and every other row is a
+  point interval.  Rows are
   independent, so the best value over the region is one
   :class:`~repro.mdp.interval.IntervalDTMC` solve (the rectangular
   uncertainty sets of Suilen et al., "Robust MDPs"), and it is exact.

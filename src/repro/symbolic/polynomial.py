@@ -259,23 +259,34 @@ class Polynomial:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, float, Fraction)):
+        if isinstance(other, float):
+            # Exactly, as ``Fraction`` compares with ``float`` (no
+            # ``limit_denominator``), so equal objects hash equal.
+            if not math.isfinite(other):
+                return False
+            other = Fraction(other)
+        if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # Integer triples, not Fractions: ``Fraction.__hash__`` computes a
-        # modular inverse of the denominator.  Coefficients are normalised
-        # Fractions, so equal polynomials give equal triples.
+        # A constant hashes as its number, since it compares equal to it.
+        # Otherwise integer triples, not Fractions: ``Fraction.__hash__``
+        # computes a modular inverse of the denominator.  Coefficients are
+        # normalised Fractions, so equal polynomials give equal triples.
         if self._hash is None:
-            self._hash = hash(
-                frozenset(
-                    (mono, coeff.numerator, coeff.denominator)
-                    for mono, coeff in self._terms.items()
+            terms = self._terms
+            if not terms or (len(terms) == 1 and () in terms):
+                self._hash = hash(terms.get((), 0))
+            else:
+                self._hash = hash(
+                    frozenset(
+                        (mono, coeff.numerator, coeff.denominator)
+                        for mono, coeff in terms.items()
+                    )
                 )
-            )
         return self._hash
 
     def __getstate__(self):
@@ -396,7 +407,9 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         key = _descending_lex(self.variables() | divisor.variables())
         lead_mono = min(divisor._terms, key=key)
-        lead_coeff = divisor._terms[lead_mono]
+        # A Fraction divisor keeps every quotient coefficient exact, also
+        # for polynomials built with plain int coefficients.
+        lead_coeff = Fraction(divisor._terms[lead_mono])
         tail = [(m, c) for m, c in divisor._terms.items() if m != lead_mono]
         current = dict(self._terms)
         heap = _monomial_heap(current, key)

@@ -20,6 +20,7 @@ After every arithmetic operation the quotient is normalised so that
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -170,6 +171,11 @@ class RationalFunction:
         return RationalFunction(self.numerator**exponent, self.denominator**exponent)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, float):
+            # Exactly, like ``Polynomial.__eq__``: equal objects hash equal.
+            if not math.isfinite(other):
+                return False
+            other = Fraction(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

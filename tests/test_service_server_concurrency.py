@@ -18,6 +18,7 @@ import pytest
 
 from repro.mdp import chain_dtmc
 from repro.service.jobs import CheckJob
+from repro.service.runner import BatchRunner
 from repro.service.server import build_server
 from repro.service.telemetry import Telemetry
 
@@ -246,11 +247,28 @@ class TestBodyHardening:
 
 
 class TestBackpressure:
-    def test_flood_gets_503_with_retry_after_never_dropped(self):
+    def test_flood_gets_503_with_retry_after_never_dropped(self, monkeypatch):
+        # The single queue worker is held inside a blocker job until the
+        # whole flood has been answered, so the queue cannot drain while
+        # it is filled: exactly ``queue_size`` submissions fit.
+        started, release = threading.Event(), threading.Event()
+        run_one = BatchRunner.run_one
+
+        def gated_run_one(runner, job):
+            started.set()
+            release.wait(timeout=120)
+            return run_one(runner, job)
+
+        monkeypatch.setattr(BatchRunner, "run_one", gated_run_one)
         server, thread, base, telemetry = start_server(
             queue_size=2, queue_workers=1
         )
         try:
+            status, blocker, _ = post_collect(
+                base + "/jobs", {"jobs": [check_payload("blocker")]}
+            )
+            assert status == 202
+            assert started.wait(timeout=30), "worker never took the blocker"
             results, errors = [], []
             lock = threading.Lock()
 
@@ -272,23 +290,26 @@ class TestBackpressure:
                 worker.start()
             for worker in threads:
                 worker.join(timeout=120)
+            release.set()
             # Hard acceptance: every request got an HTTP answer.
             assert not errors
             assert len(results) == 24
             accepted = [r for r in results if r[0] == 202]
             rejected = [r for r in results if r[0] == 503]
             assert len(accepted) + len(rejected) == 24
-            assert rejected, "flood past capacity must observe 503s"
+            assert len(accepted) == 2, "the queue holds exactly two jobs"
+            assert len(rejected) == 22, "flood past capacity must observe 503s"
             for status, body, headers in rejected:
                 assert body["error"]["code"] == "queue-full"
                 assert int(headers["Retry-After"]) >= 1
             # Accepted work still completes.
-            for status, body, _ in accepted:
+            for status, body, _ in accepted + [(202, blocker, None)]:
                 for entry in body["accepted"]:
                     record = poll_until_terminal(base, entry["ticket"])
                     assert record["status"] == "succeeded"
             assert telemetry.counters()["jobs_rejected"] == len(rejected)
         finally:
+            release.set()
             stop_server(server, thread)
 
     def test_rate_limit_429_with_retry_after(self):

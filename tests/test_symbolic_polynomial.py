@@ -147,6 +147,17 @@ class TestDivision:
         with pytest.raises(ZeroDivisionError):
             X.divmod(Polynomial.zero())
 
+    def test_integer_coefficients_divide_exactly(self):
+        three_x = Polynomial({(("x", 1),): 3})
+        two_x = Polynomial({(("x", 1),): 2})
+        quotient, remainder = three_x.divmod(two_x)
+        assert quotient.terms == {(): Fraction(3, 2)}
+        assert type(quotient.constant_value()) is Fraction
+        assert remainder.is_zero()
+        exact = Polynomial({(("x", 2),): 3}).exact_div(two_x)
+        assert exact.terms == {(("x", 1),): Fraction(3, 2)}
+        assert all(type(c) is Fraction for c in exact.terms.values())
+
     def test_mixed_support_division(self):
         # Regression: requires a true monomial order (q vs p·q).
         p = Polynomial.variable("p")
@@ -508,6 +519,41 @@ class TestHash:
         as_fraction = Polynomial({(): Fraction(-2, 2), mono: Fraction(6, 2)})
         assert as_int == as_fraction
         assert hash(as_int) == hash(as_fraction)
+
+    @pytest.mark.parametrize("value", [3, 0, Fraction(1, 2)])
+    def test_constants_hash_as_their_value(self, value):
+        constant = Polynomial.constant(value)
+        assert constant == value
+        assert hash(constant) == hash(value)
+        assert {value: "a"}.get(constant) == "a"
+        assert {constant: "a"}.get(value) == "a"
+
+    @pytest.mark.parametrize("kind", [Polynomial, RationalFunction])
+    @pytest.mark.parametrize("value", [0.5, 0.1, -2.0, 1e-13])
+    def test_floats_compare_exactly_like_fractions(self, kind, value):
+        exact = kind.constant(Fraction(value))
+        assert exact == value
+        assert hash(exact) == hash(value)
+        assert {value: "a"}.get(exact) == "a"
+        # ``constant`` rounds a float (limit_denominator): the result
+        # equals the float only if rounding kept it, and then hashes
+        # like it.
+        rounded = kind.constant(value)
+        if rounded == value:
+            assert hash(rounded) == hash(value)
+        else:
+            assert {value: "a"}.get(rounded) is None
+
+    @pytest.mark.parametrize("kind", [Polynomial, RationalFunction])
+    def test_a_rounded_float_is_not_its_float(self, kind):
+        # 0.1 rounds to 1/10, which is not the double 0.1.
+        assert kind.constant(0.1) == Fraction(1, 10)
+        assert kind.constant(0.1) != 0.1
+
+    @pytest.mark.parametrize("kind", [Polynomial, RationalFunction])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_are_never_equal(self, kind, value):
+        assert kind.constant(1) != value
 
 
 _PICKLE_SCRIPT = r"""
